@@ -15,9 +15,9 @@ import (
 	"embera/internal/mjpeg"
 	"embera/internal/mjpegapp"
 	"embera/internal/monitor"
+	"embera/internal/perfstat"
 	"embera/internal/platform"
 	"embera/internal/sim"
-	"embera/internal/trace"
 )
 
 // smpMJPEG is the paper's SMP deployment of the decoder.
@@ -290,55 +290,15 @@ func BenchmarkKernelEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkSimKernel measures raw event throughput of the discrete-event
-// kernel (two processes ping-ponging through a queue).
-func BenchmarkSimKernel(b *testing.B) {
-	k := sim.NewKernel()
-	q := sim.NewQueue[int](k, "q", 1)
-	n := b.N
-	k.Spawn("prod", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			q.Put(p, i)
-		}
-		q.Close()
-	})
-	k.Spawn("cons", func(p *sim.Proc) {
-		for {
-			if _, ok := q.Get(p); !ok {
-				return
-			}
-		}
-	})
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
+// BenchmarkSimKernel measures one blocking put+get round through the sim
+// kernel's queue (two processes ping-ponging): perfstat's
+// micro/sim-kernel-send body.
+func BenchmarkSimKernel(b *testing.B) { perfstat.BenchSimKernelSend(b) }
 
-// BenchmarkTraceCodec measures serialize+deserialize of the binary trace
-// format.
-func BenchmarkTraceCodec(b *testing.B) {
-	rec := trace.NewRecorder(4096)
-	for i := 0; i < 4096; i++ {
-		rec.Emit(core.Event{
-			TimeUS: int64(i), Kind: core.EvSend,
-			Component: "Fetch", Interface: "fetchIdct1",
-			Bytes: 4352, DurUS: 13,
-		})
-	}
-	events := rec.Events()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf discardCounter
-		if err := trace.Write(&buf, events); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type discardCounter struct{ n int }
-
-func (d *discardCounter) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+// BenchmarkTraceCodec measures the binary trace codec per event: one op is
+// one encoded event, each Write call encoding a 4096-event trace
+// (perfstat's micro/trace-write-event body).
+func BenchmarkTraceCodec(b *testing.B) { perfstat.BenchTraceWrite(b) }
 
 // BenchmarkMJPEGPipelineVirtualThroughput runs the full SMP MJPEG pipeline
 // and reports virtual frames/sec alongside host ns/op.
@@ -456,35 +416,12 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 }
 
 // BenchmarkMonitorSamplePath measures one steady-state monitor sampling
-// tick over the five-component MJPEG application: SampleAll into a reused
-// buffer, wrap into ring samples, PushBatch, periodic batch drain. This is
-// the per-tick price of leaving the streaming monitor enabled; the
-// zero-alloc overhaul pinned it at 0 allocs/op, gated by the committed
-// perfstat baseline.
-func BenchmarkMonitorSamplePath(b *testing.B) {
-	stream, err := exp.RefStream(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, a := platform.MustGet("smp").New("bench")
-	if _, err := mjpegapp.Build(a, smpMJPEG(stream)); err != nil {
-		b.Fatal(err)
-	}
-	n := len(a.Components())
-	ring := monitor.NewRing(4096, 4)
-	w := ring.SoleWriter()
-	buf := make([]core.FastSample, 0, n)
-	batch := make([]monitor.Sample, 0, n)
-	drain := make([]monitor.Sample, 0, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, buf, batch = monitor.SampleTick(a, core.LevelApplication, int64(i), w, buf, batch)
-		if ring.Len()+n > ring.Capacity() {
-			drain = ring.DrainInto(drain[:0])
-		}
-	}
-}
+// tick over the registered pipeline workload on smp: SampleAll into a
+// reused buffer, wrap into ring samples, PushBatch, periodic batch drain.
+// This is the per-tick price of leaving the streaming monitor enabled,
+// pinned at 0 allocs/op by the committed perfstat baseline
+// (micro/monitor-sample-tick).
+func BenchmarkMonitorSamplePath(b *testing.B) { perfstat.BenchMonitorSampleTick(b) }
 
 // BenchmarkNativePipelineThroughput runs the synthetic pipeline workload on
 // the native (goroutine) platform end to end — real concurrency, wall-clock
@@ -511,33 +448,9 @@ func BenchmarkNativePipelineThroughput(b *testing.B) {
 
 // BenchmarkNativeSendLatency measures the host cost of one instrumented
 // EMBera send+receive round through the native channel-backed mailbox —
-// the wall-clock counterpart of BenchmarkSendPrimitive_SMP.
-func BenchmarkNativeSendLatency(b *testing.B) {
-	m, a := platform.MustGet("native").New("bench")
-	n := b.N
-	prod := a.MustNewComponent("prod", func(ctx *core.Ctx) {
-		for i := 0; i < n; i++ {
-			ctx.Send("out", nil, 1024)
-		}
-	})
-	prod.MustAddRequired("out")
-	cons := a.MustNewComponent("cons", func(ctx *core.Ctx) {
-		for {
-			if _, ok := ctx.Receive("in"); !ok {
-				return
-			}
-		}
-	})
-	cons.MustAddProvided("in", 1<<20)
-	a.MustConnect(prod, "out", cons, "in")
-	b.ResetTimer()
-	if err := a.Start(); err != nil {
-		b.Fatal(err)
-	}
-	if err := m.Run(int64(10 * 60 * 1e6)); err != nil { // 10 min wall horizon
-		b.Fatal(err)
-	}
-}
+// the wall-clock counterpart of BenchmarkSendPrimitive_SMP (perfstat's
+// micro/native-mailbox-send body).
+func BenchmarkNativeSendLatency(b *testing.B) { perfstat.BenchNativeMailboxSend(b) }
 
 // BenchmarkEntropyDecode measures the Fetch stage's core work: Huffman
 // decoding a full frame's scan into coefficient blocks.

@@ -1,10 +1,10 @@
 // embera-bench regenerates every table and figure of the paper's evaluation
 // (§4–§5), plus the ablations of DESIGN.md §5, the cross-platform
-// comparisons (P1 serial, MX concurrent matrix) and the FUZZ differential
-// soak over generated rand:<seed> workloads. At the default paper scale
-// (578/3000 frames) the full run takes a few minutes of host time, most of
-// it real JPEG decoding inside the Fetch components; -small/-large shrink
-// the inputs for a quick pass.
+// comparisons (P1 serial, MX concurrent matrix) and the DIFF differential
+// battery over generated rand:<seed> and burst:<seed> workloads. At the
+// default paper scale (578/3000 frames) the full run takes a few minutes of
+// host time, most of it real JPEG decoding inside the Fetch components;
+// -small/-large shrink the inputs for a quick pass.
 //
 // Every run also emits a machine-readable BENCH_embera.json (experiment →
 // ns/op, allocs/op, throughput) so the performance trajectory is tracked
@@ -16,10 +16,9 @@
 //	embera-bench -exp T1 -small 578 -large 3000
 //	embera-bench -exp F4,F8
 //	embera-bench -exp MX -platform native          # one matrix row
-//	embera-bench -exp FUZZ -seeds 256              # differential seed soak
-//	embera-bench -exp FUZZ -seed 41                # one-seed deep repro
-//	embera-bench -exp CTL -seeds 64                # migrated differential soak
-//	embera-bench -exp CTL -seed 41                 # one migrated seed repro
+//	embera-bench -exp DIFF -family rand -seeds 256 # differential seed soak
+//	embera-bench -exp DIFF -family rand -seed 41   # one-seed deep repro
+//	embera-bench -exp DIFF -family burst -migrate  # burst soak under the migration scheduler
 //	embera-bench -exp OV                           # observation-overhead harness + zero-alloc micros
 package main
 
@@ -50,7 +49,7 @@ import (
 // perfstat observation-overhead harness plus the zero-alloc hot-path
 // micro-benchmarks; its per-cell entries are what CI's bench-regress job
 // diffs against testdata/baselines/.
-var experiments = []string{"T1", "T2", "T3", "F4", "F5", "F8", "A1", "A2", "A3", "A4", "E6", "P1", "MX", "FUZZ", "CTL", "BURST", "OV"}
+var experiments = []string{"T1", "T2", "T3", "F4", "F5", "F8", "A1", "A2", "A3", "A4", "E6", "P1", "MX", "DIFF", "OV"}
 
 func main() {
 	// When re-executed by the cluster coordinator this process is a worker
@@ -61,12 +60,14 @@ func main() {
 	small := flag.Int("small", exp.SmallFrames, "frame count of the small input (paper: 578)")
 	large := flag.Int("large", exp.LargeFrames, "frame count of the large input (paper: 3000)")
 	msgs := flag.Int("msgs", 30, "messages per point in the send-time sweeps")
-	platformName := flag.String("platform", "", "restrict the MX matrix / FUZZ sweep to one platform (default: all registered)")
+	platformName := flag.String("platform", "", "restrict the MX matrix / DIFF battery to one platform (default: all registered)")
 	workloadName := flag.String("workload", "", "restrict the MX matrix to one workload (default: all registered)")
 	mxScale := flag.Int("mx-scale", 60, "workload scale of each MX matrix cell")
-	seeds := flag.Int("seeds", 64, "seed count of the FUZZ/CTL differential sweeps")
-	seedStart := flag.Int64("seed-start", 0, "first seed of the FUZZ/CTL sweeps")
-	oneSeed := flag.Int64("seed", -1, "run the full differential battery for this single seed (FUZZ/CTL repro mode)")
+	family := flag.String("family", "rand", "seeded workload family of the DIFF battery: rand or burst")
+	migrate := flag.Bool("migrate", false, "run every DIFF cell under the fuzzed migration scheduler")
+	seeds := flag.Int("seeds", 64, "seed count of the DIFF sweep")
+	seedStart := flag.Int64("seed-start", 0, "first seed of the DIFF sweep")
+	oneSeed := flag.Int64("seed", -1, "run the deep DIFF battery for this single seed (repro mode)")
 	ovScale := flag.Int("ov-scale", 40, "workload scale of each OV overhead-harness cell")
 	benchJSON := flag.String("bench-json", "BENCH_embera.json", "write machine-readable per-experiment timings here (empty = disabled)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run here (pprof format)")
@@ -123,6 +124,11 @@ func main() {
 	if *workloadName != "" {
 		cliutil.ResolveWorkload("embera-bench", *workloadName)
 		mxWorkloads = []string{*workloadName}
+	}
+	// So does the DIFF battery's first seed: an unknown -family exits 2.
+	spec := conformance.Spec{Family: *family, Platforms: mxPlatforms, Migrate: *migrate}
+	if want["DIFF"] {
+		cliutil.ResolveWorkload("embera-bench", spec.Workload(max(*seedStart, *oneSeed)))
 	}
 
 	// Every experiment is timed and allocation-profiled into benchEntries;
@@ -250,125 +256,45 @@ func main() {
 		setUnits("MX", float64(len(cells)))
 		return exp.FormatMatrix(cells), nil
 	})
-	runIf("FUZZ", func() (string, error) {
+	runIf("DIFF", func() (string, error) {
+		battery, diffPlatforms := "differential battery", mxPlatforms
+		if *migrate {
+			battery = "migrated " + battery
+		}
+		if diffPlatforms == nil {
+			diffPlatforms = platform.Names()
+		}
 		if *oneSeed >= 0 {
 			// Repro mode: the deep single-seed battery (fingerprint reruns
 			// on deterministic platforms, kernel-copy correlation on smp),
 			// honoring the -platform restriction like the sweep does.
-			if err := conformance.DifferentialOn(mxPlatforms, *oneSeed); err != nil {
+			if err := conformance.Differential(spec, *oneSeed); err != nil {
 				return "", err
 			}
-			setUnits("FUZZ", 1)
-			ran := mxPlatforms
-			if ran == nil {
-				ran = platform.Names()
-			}
-			return fmt.Sprintf("seed %d passed the differential battery on %s\n",
-				*oneSeed, strings.Join(ran, ", ")), nil
+			setUnits("DIFF", 1)
+			return fmt.Sprintf("%s passed the %s on %s\n",
+				spec.Workload(*oneSeed), battery, strings.Join(diffPlatforms, ", ")), nil
 		}
 		// The soak honors SIGINT/SIGTERM between chunks: a Ctrl-C drains
 		// the chunk in flight and exits clean (zero) with the cell count so
 		// far — only a real differential failure is fatal.
 		ctx, stopSignals := cliutil.ShutdownContext()
 		defer stopSignals()
-		cells, err := conformance.SweepSeedsCtx(ctx, mxPlatforms, *seedStart, *seeds, platform.Options{})
+		cells, err := conformance.Sweep(ctx, spec, *seedStart, *seeds)
 		interrupted := errors.Is(err, context.Canceled)
 		if err != nil && !interrupted {
 			// The error already ends with the failing seed's one-line
 			// repro command; log.Fatalf in runIf surfaces it verbatim.
 			return "", err
 		}
-		setUnits("FUZZ", float64(cells))
-		pcount := len(mxPlatforms)
-		if mxPlatforms == nil {
-			pcount = len(platform.Names())
-		}
+		setUnits("DIFF", float64(cells))
 		if interrupted {
 			return fmt.Sprintf(
-				"FUZZ: interrupted after %d clean cells (seeds from %d, %d platform(s)) — shutdown requested, not a failure\n",
-				cells, *seedStart, pcount), nil
+				"DIFF: interrupted after %d clean cells (%s seeds from %d, %d platform(s)) — shutdown requested, not a failure\n",
+				cells, spec.Family, *seedStart, len(diffPlatforms)), nil
 		}
-		return fmt.Sprintf(
-			"FUZZ: seeds [%d,%d) × %d platform(s) = %d cells — checksums equal, flows conserved, monitor agrees\n",
-			*seedStart, *seedStart+int64(*seeds), pcount, cells), nil
-	})
-
-	runIf("CTL", func() (string, error) {
-		// The migrated differential soak: every FUZZ invariant, with the
-		// fuzzed migration scheduler injecting same-target migrate/reconnect
-		// points into each cell while it flows. A failure names the seed
-		// and ends with the "-exp CTL -seed <n>" repro line.
-		if *oneSeed >= 0 {
-			if err := conformance.DifferentialMigratedOn(mxPlatforms, *oneSeed); err != nil {
-				return "", err
-			}
-			setUnits("CTL", 1)
-			ran := mxPlatforms
-			if ran == nil {
-				ran = platform.Names()
-			}
-			return fmt.Sprintf("seed %d passed the migrated differential battery on %s\n",
-				*oneSeed, strings.Join(ran, ", ")), nil
-		}
-		ctx, stopSignals := cliutil.ShutdownContext()
-		defer stopSignals()
-		cells, err := conformance.SweepSeedsMigratedCtx(ctx, mxPlatforms, *seedStart, *seeds, platform.Options{})
-		interrupted := errors.Is(err, context.Canceled)
-		if err != nil && !interrupted {
-			return "", err
-		}
-		setUnits("CTL", float64(cells))
-		pcount := len(mxPlatforms)
-		if mxPlatforms == nil {
-			pcount = len(platform.Names())
-		}
-		if interrupted {
-			return fmt.Sprintf(
-				"CTL: interrupted after %d clean cells (seeds from %d, %d platform(s)) — shutdown requested, not a failure\n",
-				cells, *seedStart, pcount), nil
-		}
-		return fmt.Sprintf(
-			"CTL: seeds [%d,%d) × %d platform(s) = %d cells — invariants survive every migration schedule\n",
-			*seedStart, *seedStart+int64(*seeds), pcount, cells), nil
-	})
-
-	runIf("BURST", func() (string, error) {
-		// The bursty request/response differential soak: every FUZZ
-		// invariant, plus the tail-latency battery over the burst:<seed>
-		// family's open-loop fan-out/fan-in cells. Failures end with the
-		// "-exp BURST -seed <n>" repro line.
-		if *oneSeed >= 0 {
-			if err := conformance.DifferentialBurstOn(mxPlatforms, *oneSeed); err != nil {
-				return "", err
-			}
-			setUnits("BURST", 1)
-			ran := mxPlatforms
-			if ran == nil {
-				ran = platform.Names()
-			}
-			return fmt.Sprintf("seed %d passed the burst differential battery on %s\n",
-				*oneSeed, strings.Join(ran, ", ")), nil
-		}
-		ctx, stopSignals := cliutil.ShutdownContext()
-		defer stopSignals()
-		cells, err := conformance.SweepSeedsBurstCtx(ctx, mxPlatforms, *seedStart, *seeds, platform.Options{})
-		interrupted := errors.Is(err, context.Canceled)
-		if err != nil && !interrupted {
-			return "", err
-		}
-		setUnits("BURST", float64(cells))
-		pcount := len(mxPlatforms)
-		if mxPlatforms == nil {
-			pcount = len(platform.Names())
-		}
-		if interrupted {
-			return fmt.Sprintf(
-				"BURST: interrupted after %d clean cells (seeds from %d, %d platform(s)) — shutdown requested, not a failure\n",
-				cells, *seedStart, pcount), nil
-		}
-		return fmt.Sprintf(
-			"BURST: seeds [%d,%d) × %d platform(s) = %d cells — checksums equal, flows conserved, latency tails sane\n",
-			*seedStart, *seedStart+int64(*seeds), pcount, cells), nil
+		return fmt.Sprintf("DIFF: %s seeds [%d,%d) × %d platform(s) = %d cells passed the %s\n",
+			spec.Family, *seedStart, *seedStart+int64(*seeds), len(diffPlatforms), cells, battery), nil
 	})
 
 	runIf("OV", func() (string, error) {

@@ -63,8 +63,8 @@
 //     forms, and the differential battery additionally asserts each
 //     cell's monitor-window latency tail (monotone p50 ≤ p95 ≤ p99,
 //     bounded by the observed max and the makespan). Soak with
-//     embera-bench -exp BURST -seeds N; failures print the one-line
-//     -exp BURST -seed repro.
+//     embera-bench -exp DIFF -family burst -seeds N; failures print the
+//     one-line -exp DIFF -family burst -seed repro.
 //   - replay:<file> (internal/replaywl) — a recorded run as a
 //     deterministic benchmark. `embera-trace capture` (or GET
 //     /v1/assemblies/{id}/capture on a live embera-serve) writes an
@@ -86,10 +86,12 @@
 // streaming
 // monitor's window aggregates and the final observer report, and — on
 // simulated Linux — complete correlation between kernel copies and
-// application sends. `go test ./internal/conformance -run Differential`
-// sweeps 64 seeds; `embera-bench -exp FUZZ -seeds N` soaks further, and
-// any failure prints a one-line `embera-bench -exp FUZZ -seed <n>`
-// repro.
+// application sends. A conformance.Spec{Family, Platforms, Migrate} names
+// one battery; conformance.Differential runs one seed of it deep and
+// conformance.Sweep soaks a seed range. `go test ./internal/conformance
+// -run Differential` sweeps 64 seeds; `embera-bench -exp DIFF -family
+// rand -seeds N` soaks further, and any failure prints a one-line
+// `embera-bench -exp DIFF -family rand -seed <n>` repro.
 //
 // # Feedback control
 //
@@ -119,8 +121,8 @@
 // deterministic schedule from the assembly name, ctl.AttachMigrations
 // injects it into running rand:<seed> cells, and checksums, flow
 // conservation and monitor agreement must survive any schedule on every
-// platform (`embera-bench -exp CTL -seeds N`; failures print the
-// one-line -exp CTL -seed repro). examples/feedback runs the loop end
+// platform (`embera-bench -exp DIFF -family rand -migrate -seeds N`;
+// failures print the one-line repro). examples/feedback runs the loop end
 // to end: a depth high-water policy rebinds a hot component's work to
 // an idle spare with message conservation asserted.
 //

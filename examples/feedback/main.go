@@ -9,8 +9,8 @@
 // moving the worker's queued backlog across in the same step. Every item
 // still arrives at the collector exactly once — the migration is invisible
 // to application semantics, which is the invariant the differential
-// conformance battery (`embera-bench -exp CTL`) proves for random
-// schedules.
+// conformance battery (`embera-bench -exp DIFF -migrate`) proves for
+// random schedules.
 //
 // Run: go run ./examples/feedback
 package main

@@ -34,11 +34,6 @@ const Family = "burst"
 // Name returns the registry name of the seeded workload for one seed.
 func Name(seed int64) string { return fmt.Sprintf("%s:%d", Family, seed) }
 
-// ReproCommand is the one-line reproduction command for a failing seed.
-func ReproCommand(seed int64) string {
-	return fmt.Sprintf("embera-bench -exp BURST -seed %d", seed)
-}
-
 // Arrival-process modes.
 const (
 	ModePoisson = "poisson" // exponential inter-arrival gaps

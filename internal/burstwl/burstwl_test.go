@@ -138,9 +138,6 @@ func TestNameAndRepro(t *testing.T) {
 	if got := Name(9); got != "burst:9" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := ReproCommand(9); got != "embera-bench -exp BURST -seed 9" {
-		t.Errorf("ReproCommand = %q", got)
-	}
 	if got := New(9).Name(); got != "burst:9" {
 		t.Errorf("Workload.Name = %q", got)
 	}

@@ -17,9 +17,9 @@
 //     inbox equal messages received plus the in-flight depth the final
 //     report shows at teardown — and both must match the workload's
 //     closed-form flow model (platform.FlowModeler);
-//   - for latency-bearing families (burst) the monitor's windowed
-//     send-latency histograms must carry samples and report monotonic,
-//     makespan-bounded p50/p95/p99 percentiles;
+//   - the monitor's windowed send-latency histograms must report
+//     monotonic, makespan-bounded p50/p95/p99 percentiles, and carry
+//     samples on any deterministic run long enough to span a window;
 //   - on process-sharded machines (the cluster platform) the same law is
 //     accounted per shard: the sends into an inbox are summed per source
 //     process so a cross-process mismatch names the interface and the
@@ -33,9 +33,12 @@
 //     completely with the EMBera send trace: no kernel copy without an
 //     application-level explanation, and no send without its kernel copy.
 //
-// Every failure carries the one-line repro command
-// ("embera-bench -exp FUZZ -seed <n>") so a nightly soak finding reduces to
-// a single deterministic invocation.
+// A Spec names one battery: the family, the platforms, and whether the
+// fuzzed migration scheduler rides along. Differential runs one seed of it
+// deep and Sweep soaks a seed range; both share one per-run check. Every
+// failure ends with the Spec's one-line repro command
+// ("embera-bench -exp DIFF -family <f> [-migrate] -seed <n>"), so a
+// nightly soak finding reduces to a single deterministic invocation.
 package conformance
 
 import (
@@ -45,17 +48,19 @@ import (
 	"strings"
 	"sync"
 
-	"embera/internal/burstwl"
 	"embera/internal/core"
 	"embera/internal/correlate"
 	"embera/internal/ctl"
 	"embera/internal/exp"
-	"embera/internal/fuzzwl"
 	"embera/internal/kptrace"
 	"embera/internal/monitor"
 	"embera/internal/platform"
 	"embera/internal/smpbind"
 	"embera/internal/trace"
+
+	// The battery's seeded families register on import.
+	_ "embera/internal/burstwl"
+	_ "embera/internal/fuzzwl"
 )
 
 // migrationPoints is how many same-target migrate/reconnect points the
@@ -64,27 +69,43 @@ import (
 // generated workload is still flowing.
 const migrationPoints = 6
 
-// ctlReproCommand is the one-line reproduction command for a failing
-// migrated seed — the CTL twin of fuzzwl.ReproCommand.
-func ctlReproCommand(seed int64) string {
-	return fmt.Sprintf("embera-bench -exp CTL -seed %d", seed)
+// sweepChunk is how many seeds one RunMatrix call of a sweep runs: it
+// bounds the machines in flight.
+const sweepChunk = 16
+
+// Spec selects one differential battery.
+type Spec struct {
+	// Family is the seeded workload family, "rand" (internal/fuzzwl) or
+	// "burst" (internal/burstwl): seed n runs the workload "<Family>:<n>".
+	Family string
+	// Platforms restricts the battery to these registered platforms; nil
+	// selects every registered platform. With one platform the
+	// cross-platform comparison is vacuous but the per-run battery still
+	// applies, which is what a platform-targeted repro wants.
+	Platforms []string
+	// Migrate attaches the fuzzed migration scheduler to every run: a
+	// deterministic schedule of same-target migrate/reconnect points fires
+	// while the cell is flowing, and every invariant must survive it. The
+	// schedule is a pure function of the workload name, so a deterministic
+	// platform's rerun injects the identical points and the fingerprint
+	// comparison stays meaningful. On the cluster coordinator every
+	// component is external, the edge list is empty and the cell runs as a
+	// control.
+	Migrate bool
 }
 
-// family describes one parameterized workload family the differential
-// engine sweeps: how a seed's cell is named in the workload registry, the
-// one-line repro command a failure must surface, and whether the family's
-// runs carry tail-latency assertions through the monitor windows.
-type family struct {
-	name  func(int64) string
-	repro func(int64) string
-	tail  bool
-}
+// Workload returns the registry name of the spec's workload for one seed.
+func (s Spec) Workload(seed int64) string { return fmt.Sprintf("%s:%d", s.Family, seed) }
 
-var (
-	randFamily  = family{name: fuzzwl.Name, repro: fuzzwl.ReproCommand}
-	ctlFamily   = family{name: fuzzwl.Name, repro: ctlReproCommand}
-	burstFamily = family{name: burstwl.Name, repro: burstwl.ReproCommand, tail: true}
-)
+// Repro returns the one-line command that reruns one seed of the spec
+// through the deep battery; every failure ends with it.
+func (s Spec) Repro(seed int64) string {
+	migrate := ""
+	if s.Migrate {
+		migrate = " -migrate"
+	}
+	return fmt.Sprintf("embera-bench -exp DIFF -family %s%s -seed %d", s.Family, migrate, seed)
+}
 
 // sharder is the structural seam a machine exposes when it partitioned the
 // assembly across OS processes (the cluster platform): the placement
@@ -118,77 +139,118 @@ func diffMonitorConfig() *monitor.Config {
 // failure rather than a silent orphan source.
 const traceCapacity = 1 << 17
 
-// Differential runs the full differential battery for one seed across
-// every registered platform. Any returned error ends with the single-line
-// repro command for the failing seed.
-func Differential(seed int64) error {
-	return DifferentialOn(nil, seed)
+// probe is what the battery attached to one run: the migration schedule of
+// a migrated spec and, on a deep run on simulated Linux, the kernel-copy
+// tracer with the event recorder it correlates against.
+type probe struct {
+	sched *ctl.ScheduleResult
+	rec   *trace.Recorder
+	ktr   *kptrace.Tracer
 }
 
-// DifferentialOn is Differential restricted to the named platforms (nil =
-// every registered platform); with a single platform the cross-platform
-// comparison is vacuous but the per-run battery still applies, which is
-// what a platform-targeted repro wants.
-func DifferentialOn(platformNames []string, seed int64) error {
-	if platformNames == nil {
-		platformNames = platform.Names()
+// probes holds each run's probe under the run's own assembly: exp.RunMatrix
+// shares one Customize hook across its concurrent cells.
+type probes struct {
+	mu sync.Mutex
+	by map[*core.App]probe
+}
+
+// options returns the harness options of the spec's runs and the probes
+// their Customize hook attaches. Deep runs also trace kernel copies, which
+// only exist on the simulated-Linux platform, so both tracers attach only
+// there and other platforms skip the buffer and the per-event locking.
+func (s Spec) options(deep bool) (exp.Options, *probes) {
+	ps := &probes{by: map[*core.App]probe{}}
+	return exp.Options{
+		Monitor: diffMonitorConfig(),
+		Customize: func(a *core.App, _ *core.Observer) {
+			var pr probe
+			if b, ok := a.Binding().(*smpbind.Binding); ok && deep {
+				pr.rec = trace.NewRecorder(traceCapacity)
+				a.SetEventSink(pr.rec)
+				pr.ktr = kptrace.Attach(b.Sys, 0)
+			}
+			if s.Migrate {
+				pr.sched = ctl.AttachMigrations(a, ctl.ScheduleFor(a, migrationPoints))
+			}
+			ps.mu.Lock()
+			ps.by[a] = pr
+			ps.mu.Unlock()
+		},
+	}, ps
+}
+
+// check is the per-run battery both entry points share: the cell ran
+// clean, its migration schedule applied without an unexpected failure,
+// flows are conserved against the workload's model, the monitor agrees
+// with the observer, the latency tail is sane, and where kernel copies
+// were traced they correlate with the application sends. The cell's probe
+// is released, so a sweep does not hold every recorder to its end.
+func (ps *probes) check(c exp.MatrixResult) error {
+	err := c.Err
+	if err == nil {
+		ps.mu.Lock()
+		pr := ps.by[c.Result.App]
+		delete(ps.by, c.Result.App)
+		ps.mu.Unlock()
+		err = checkProbed(c.Result, pr)
 	}
-	if err := differential(platformNames, randFamily, seed, false); err != nil {
-		return fmt.Errorf("%w\nrepro: %s", err, fuzzwl.ReproCommand(seed))
+	if err != nil {
+		return fmt.Errorf("conformance: %s × %s: %w", c.Platform, c.Workload, err)
 	}
 	return nil
 }
 
-// DifferentialBurst runs the full differential battery for one burst-family
-// seed across every registered platform, including the tail-latency
-// assertions the open-loop arrival schedules exist to exercise.
-func DifferentialBurst(seed int64) error {
-	return DifferentialBurstOn(nil, seed)
-}
-
-// DifferentialBurstOn is DifferentialBurst restricted to the named
-// platforms (nil = every registered platform).
-func DifferentialBurstOn(platformNames []string, seed int64) error {
-	if platformNames == nil {
-		platformNames = platform.Names()
+func checkProbed(run *exp.Result, pr probe) error {
+	if pr.sched != nil {
+		if err := pr.sched.Err(); err != nil {
+			return fmt.Errorf("migration schedule: %w", err)
+		}
 	}
-	if err := differential(platformNames, burstFamily, seed, false); err != nil {
-		return fmt.Errorf("%w\nrepro: %s", err, burstwl.ReproCommand(seed))
+	if err := CheckRun(run); err != nil {
+		return err
 	}
-	return nil
-}
-
-// DifferentialMigrated runs the full differential battery for one seed
-// with the fuzzed migration scheduler attached: a deterministic schedule of
-// same-target migrate/reconnect points (derived from the workload name, so
-// deterministic-platform reruns inject identically) fires while the cell is
-// flowing. Every invariant the plain battery asserts — equal checksums,
-// bit-identical rerun fingerprints, per-interface flow conservation,
-// monitor agreement — must survive the schedule, and every point must
-// apply cleanly or legally race termination.
-func DifferentialMigrated(seed int64) error {
-	return DifferentialMigratedOn(nil, seed)
-}
-
-// DifferentialMigratedOn is DifferentialMigrated restricted to the named
-// platforms (nil = every registered platform).
-func DifferentialMigratedOn(platformNames []string, seed int64) error {
-	if platformNames == nil {
-		platformNames = platform.Names()
+	if err := checkTailLatency(run); err != nil {
+		return err
 	}
-	if err := differential(platformNames, ctlFamily, seed, true); err != nil {
-		return fmt.Errorf("%w\nrepro: %s", err, ctlReproCommand(seed))
+	if pr.ktr != nil {
+		return checkKernelCorrelation(pr.ktr, pr.rec)
 	}
 	return nil
 }
 
-func differential(platformNames []string, fam family, seed int64, migrate bool) error {
-	type outcome struct {
-		platform string
-		checksum uint64
-		units    int
+// agree requires c's workload result to equal ref's: one seed computes the
+// same checksum and unit count on every platform and in every rerun.
+func agree(ref, c exp.MatrixResult) error {
+	got, want := c.Result.Instance, ref.Result.Instance
+	if got.Checksum() != want.Checksum() || got.Units() != want.Units() {
+		return fmt.Errorf("conformance: %s: %s result %016x/%d disagrees with %s %016x/%d",
+			c.Workload, c.Platform, got.Checksum(), got.Units(),
+			ref.Platform, want.Checksum(), want.Units())
 	}
-	var outcomes []outcome
+	return nil
+}
+
+// Differential runs the deep battery for one seed of the spec: every
+// platform runs the seed (twice on Deterministic ones, whose timing
+// fingerprints must then be bit-identical) under the per-run battery, and
+// all runs must compute the same result. Any returned error ends with the
+// spec's one-line repro command.
+func Differential(s Spec, seed int64) error {
+	if err := differential(s, seed); err != nil {
+		return fmt.Errorf("%w\nrepro: %s", err, s.Repro(seed))
+	}
+	return nil
+}
+
+func differential(s Spec, seed int64) error {
+	platformNames := s.Platforms
+	if platformNames == nil {
+		platformNames = platform.Names()
+	}
+	name := s.Workload(seed)
+	opts, ps := s.options(true)
+	var ref exp.MatrixResult
 	for _, pn := range platformNames {
 		p, err := platform.Get(pn)
 		if err != nil {
@@ -198,89 +260,95 @@ func differential(platformNames []string, fam family, seed int64, migrate bool) 
 		if p.Deterministic() {
 			runs = 2 // rerun to assert bit-identical timing fingerprints
 		}
-		var fingerprints []uint64
-		var first *outcome
+		var fingerprint uint64
 		for r := 0; r < runs; r++ {
-			var rec *trace.Recorder
-			var ktr *kptrace.Tracer
-			var sched *ctl.ScheduleResult
-			opts := exp.Options{
-				Monitor: diffMonitorConfig(),
-				Customize: func(a *core.App, obs *core.Observer) {
-					// Kernel-copy correlation only exists on the
-					// simulated-Linux platform, so both tracers — the
-					// kernel-level baseline and the EMBera event recorder
-					// it correlates against — attach only there; other
-					// platforms skip the buffer and the per-event locking.
-					if b, ok := a.Binding().(*smpbind.Binding); ok {
-						rec = trace.NewRecorder(traceCapacity)
-						a.SetEventSink(rec)
-						ktr = kptrace.Attach(b.Sys, 0)
-					}
-					if migrate {
-						// The schedule is a pure function of the workload
-						// name, so a deterministic platform's rerun injects
-						// the identical points and the fingerprint
-						// comparison below stays meaningful. On the cluster
-						// coordinator every component is external, the edge
-						// list is empty and the cell runs as a control.
-						sched = ctl.AttachMigrations(a, ctl.ScheduleFor(a, migrationPoints))
-					}
-				},
+			c := exp.MatrixResult{MatrixCell: exp.MatrixCell{Platform: pn, Workload: name}}
+			c.Result, c.Err = exp.RunNamed(pn, name, opts)
+			if err := ps.check(c); err != nil {
+				return err
 			}
-			run, err := exp.RunNamed(pn, fam.name(seed), opts)
-			if err != nil {
-				return fmt.Errorf("conformance: seed %d on %s: %w", seed, pn, err)
+			if ref.Result == nil {
+				ref = c
+			} else if err := agree(ref, c); err != nil {
+				return err
 			}
-			if sched != nil {
-				if err := sched.Err(); err != nil {
-					return fmt.Errorf("conformance: seed %d on %s: migration schedule: %w", seed, pn, err)
-				}
-			}
-			if err := CheckRun(run); err != nil {
-				return fmt.Errorf("conformance: seed %d on %s: %w", seed, pn, err)
-			}
-			if fam.tail {
-				if err := checkTailLatency(run); err != nil {
-					return fmt.Errorf("conformance: seed %d on %s: %w", seed, pn, err)
-				}
-			}
-			if ktr != nil {
-				if err := checkKernelCorrelation(ktr, rec); err != nil {
-					return fmt.Errorf("conformance: seed %d on %s: %w", seed, pn, err)
-				}
-			}
-			if runs > 1 {
+			if runs == 1 {
 				// Fingerprints are only ever compared between reruns, so
-				// skip the full-report serialization on wall-clock
-				// platforms where no rerun exists to compare against.
-				fp, err := Fingerprint(run)
-				if err != nil {
-					return fmt.Errorf("conformance: seed %d on %s: %w", seed, pn, err)
-				}
-				fingerprints = append(fingerprints, fp)
+				// wall-clock platforms skip the full-report serialization.
+				continue
 			}
-			o := outcome{platform: pn, checksum: run.Instance.Checksum(), units: run.Instance.Units()}
-			if first == nil {
-				first = &o
-			} else if o.checksum != first.checksum || o.units != first.units {
-				return fmt.Errorf("conformance: seed %d on %s: rerun results differ: %016x/%d vs %016x/%d",
-					seed, pn, o.checksum, o.units, first.checksum, first.units)
+			fp, err := Fingerprint(c.Result)
+			if err != nil {
+				return fmt.Errorf("conformance: %s × %s: %w", pn, name, err)
 			}
+			if r > 0 && fp != fingerprint {
+				return fmt.Errorf("conformance: %s × %s: nondeterministic timing fingerprints: %016x vs %016x",
+					pn, name, fp, fingerprint)
+			}
+			fingerprint = fp
 		}
-		for i := 1; i < len(fingerprints); i++ {
-			if fp := fingerprints[i]; fp != fingerprints[0] {
-				return fmt.Errorf("conformance: seed %d on %s: nondeterministic timing fingerprints: %016x vs %016x",
-					seed, pn, fp, fingerprints[0])
-			}
-		}
-		outcomes = append(outcomes, *first)
 	}
-	for _, o := range outcomes[1:] {
-		if o.checksum != outcomes[0].checksum || o.units != outcomes[0].units {
-			return fmt.Errorf("conformance: seed %d: %s disagrees with %s: checksum %016x/%d units vs %016x/%d",
-				seed, o.platform, outcomes[0].platform, o.checksum, o.units,
-				outcomes[0].checksum, outcomes[0].units)
+	return nil
+}
+
+// Sweep is the soak mode behind `embera-bench -exp DIFF -seeds N`: it fans
+// the seed range [start, start+n) × the spec's platforms out as concurrent
+// exp.RunMatrix sweeps (each seed one generated workload, each cell an
+// isolated machine), then applies the per-run battery per cell and the
+// cross-platform comparison per seed. The first failing seed — lowest
+// seed, platform-name order within a seed — is returned as an error ending
+// with its one-line repro command. The context is checked between chunks,
+// so an interrupted soak finishes the chunk in flight (no half-verified
+// seeds) and returns ctx.Err(); callers tell a clean interrupt
+// (context.Canceled after Ctrl-C) from a real differential failure. It
+// returns the number of cells executed.
+func Sweep(ctx context.Context, s Spec, start int64, n int) (int, error) {
+	if n <= 0 {
+		return 0, fmt.Errorf("conformance: sweep needs a positive seed count, got %d", n)
+	}
+	cells := 0
+	for lo, end := start, start+int64(n); lo < end; lo += sweepChunk {
+		if err := ctx.Err(); err != nil {
+			return cells, err
+		}
+		hi := min(lo+sweepChunk, end)
+		names := make([]string, 0, hi-lo)
+		for seed := lo; seed < hi; seed++ {
+			names = append(names, s.Workload(seed))
+		}
+		opts, ps := s.options(false)
+		results, err := exp.RunMatrix(s.Platforms, names, opts)
+		if err != nil {
+			return cells, err
+		}
+		cells += len(results)
+		bySeed := map[string][]exp.MatrixResult{}
+		for _, c := range results {
+			bySeed[c.Workload] = append(bySeed[c.Workload], c)
+		}
+		for seed := lo; seed < hi; seed++ {
+			if err := ps.checkSeed(bySeed[s.Workload(seed)]); err != nil {
+				return cells, fmt.Errorf("%w\nrepro: %s", err, s.Repro(seed))
+			}
+		}
+	}
+	return cells, nil
+}
+
+// checkSeed verifies one seed's row of a sweep: the per-run battery on
+// every cell, then agreement across platforms.
+func (ps *probes) checkSeed(row []exp.MatrixResult) error {
+	if len(row) == 0 {
+		return fmt.Errorf("conformance: sweep produced no cells for this seed")
+	}
+	for _, c := range row {
+		if err := ps.check(c); err != nil {
+			return err
+		}
+	}
+	for _, c := range row[1:] {
+		if err := agree(row[0], c); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -472,13 +540,13 @@ func checkMonitorAgreement(run *exp.Result) error {
 // runs can legitimately finish between sampler ticks.
 const latencyHorizonUS = 2000
 
-// checkTailLatency asserts the tail-latency invariants a latency-bearing
-// family's runs must satisfy, evaluated through the monitor windows: the
-// merged send-latency histograms must report monotonic p50 <= p95 <= p99
-// percentiles bounded by the run's makespan, and on deterministic
-// platforms any run long enough to span an aggregation window must have
-// produced latency samples at all — an empty histogram there means the
-// monitor stopped seeing the send path.
+// checkTailLatency asserts the tail-latency invariants every run must
+// satisfy, evaluated through the monitor windows: the merged send-latency
+// histograms must report monotonic p50 <= p95 <= p99 percentiles bounded
+// by the run's makespan, and on deterministic platforms any run long
+// enough to span an aggregation window must have produced latency samples
+// at all — an empty histogram there means the monitor stopped seeing the
+// send path.
 func checkTailLatency(run *exp.Result) error {
 	mon := run.Monitor
 	if mon == nil {
@@ -521,148 +589,6 @@ func checkKernelCorrelation(ktr *kptrace.Tracer, rec *trace.Recorder) error {
 	}
 	if len(res.OrphanSends) > 0 {
 		return fmt.Errorf("correlate: %d application sends produced no kernel copy", len(res.OrphanSends))
-	}
-	return nil
-}
-
-// SweepSeeds is the soak mode behind `embera-bench -exp FUZZ -seeds N`: it
-// fans the seed range [start, start+n) × every requested platform out as
-// one concurrent exp.RunMatrix sweep (each seed is one generated workload
-// name, each cell an isolated machine), then replays the differential
-// checks per cell and the cross-platform comparisons per seed. The first
-// failing seed — lowest seed, platform-name order within a seed — is
-// returned as an error ending with its one-line repro command. It returns
-// the number of cells executed.
-func SweepSeeds(platformNames []string, start int64, n int, opts platform.Options) (int, error) {
-	return SweepSeedsCtx(context.Background(), platformNames, start, n, opts)
-}
-
-// SweepSeedsCtx is SweepSeeds with cooperative cancellation: the context
-// is checked between chunks, so an interrupted soak finishes the chunk in
-// flight (no half-verified seeds) and returns ctx.Err() with the cell
-// count so far. Callers distinguish a clean interrupt (context.Canceled
-// after Ctrl-C) from a real differential failure.
-func SweepSeedsCtx(ctx context.Context, platformNames []string, start int64, n int, opts platform.Options) (int, error) {
-	return sweepSeeds(ctx, platformNames, start, n, opts, false, randFamily)
-}
-
-// SweepSeedsBurst is the burst-family soak behind `embera-bench -exp BURST
-// -seeds N`: the same concurrent RunMatrix sweep and per-cell differential
-// checks as SweepSeeds, over "burst:<seed>" cells, plus the tail-latency
-// assertions evaluated through each cell's monitor windows. Failures carry
-// the "embera-bench -exp BURST -seed <n>" repro line.
-func SweepSeedsBurst(platformNames []string, start int64, n int, opts platform.Options) (int, error) {
-	return SweepSeedsBurstCtx(context.Background(), platformNames, start, n, opts)
-}
-
-// SweepSeedsBurstCtx is SweepSeedsBurst with cooperative cancellation,
-// mirroring SweepSeedsCtx.
-func SweepSeedsBurstCtx(ctx context.Context, platformNames []string, start int64, n int, opts platform.Options) (int, error) {
-	return sweepSeeds(ctx, platformNames, start, n, opts, false, burstFamily)
-}
-
-// SweepSeedsMigrated is the migrated twin of SweepSeeds: every cell runs
-// with the fuzzed migration scheduler attached, so the soak asserts that
-// checksums, flow conservation and monitor agreement survive a different
-// random migrate/reconnect schedule in every generated workload. Failures
-// carry the "embera-bench -exp CTL -seed <n>" repro line.
-func SweepSeedsMigrated(platformNames []string, start int64, n int, opts platform.Options) (int, error) {
-	return sweepSeeds(context.Background(), platformNames, start, n, opts, true, ctlFamily)
-}
-
-// SweepSeedsMigratedCtx is SweepSeedsMigrated with cooperative
-// cancellation, mirroring SweepSeedsCtx.
-func SweepSeedsMigratedCtx(ctx context.Context, platformNames []string, start int64, n int, opts platform.Options) (int, error) {
-	return sweepSeeds(ctx, platformNames, start, n, opts, true, ctlFamily)
-}
-
-func sweepSeeds(ctx context.Context, platformNames []string, start int64, n int, opts platform.Options, migrate bool, fam family) (int, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("conformance: sweep needs a positive seed count, got %d", n)
-	}
-	if platformNames == nil {
-		platformNames = platform.Names()
-	}
-	const chunk = 16 // seeds per RunMatrix call: bounds in-flight machines
-	cells := 0
-	for lo := start; lo < start+int64(n); lo += chunk {
-		if err := ctx.Err(); err != nil {
-			return cells, err
-		}
-		hi := lo + chunk
-		if max := start + int64(n); hi > max {
-			hi = max
-		}
-		names := make([]string, 0, hi-lo)
-		for s := lo; s < hi; s++ {
-			names = append(names, fam.name(s))
-		}
-		eopts := exp.Options{Monitor: diffMonitorConfig(), Options: opts}
-		// The migrated sweep's Customize hook is shared across the chunk's
-		// concurrent cells, so the per-cell schedule results are collected
-		// under a lock, keyed by the cell's own assembly.
-		var schedMu sync.Mutex
-		scheds := map[*core.App]*ctl.ScheduleResult{}
-		if migrate {
-			eopts.Customize = func(a *core.App, obs *core.Observer) {
-				res := ctl.AttachMigrations(a, ctl.ScheduleFor(a, migrationPoints))
-				schedMu.Lock()
-				scheds[a] = res
-				schedMu.Unlock()
-			}
-		}
-		results, err := exp.RunMatrix(platformNames, names, eopts)
-		if err != nil {
-			return cells, err
-		}
-		cells += len(results)
-		bySeed := map[string][]exp.MatrixResult{}
-		for _, c := range results {
-			bySeed[c.Workload] = append(bySeed[c.Workload], c)
-		}
-		for s := lo; s < hi; s++ {
-			if err := checkSweepSeed(bySeed[fam.name(s)], scheds, fam.tail); err != nil {
-				return cells, fmt.Errorf("%w\nrepro: %s", err, fam.repro(s))
-			}
-		}
-	}
-	return cells, nil
-}
-
-// checkSweepSeed verifies one seed's row of a sweep: every cell ran clean,
-// any attached migration schedule applied without an unexpected failure,
-// per-cell differential invariants hold, and results agree across
-// platforms.
-func checkSweepSeed(row []exp.MatrixResult, scheds map[*core.App]*ctl.ScheduleResult, tail bool) error {
-	if len(row) == 0 {
-		return fmt.Errorf("conformance: sweep produced no cells for this seed")
-	}
-	for _, c := range row {
-		if c.Err != nil {
-			return fmt.Errorf("conformance: %s × %s: %w", c.Platform, c.Workload, c.Err)
-		}
-		if sched := scheds[c.Result.App]; sched != nil {
-			if err := sched.Err(); err != nil {
-				return fmt.Errorf("conformance: %s × %s: migration schedule: %w", c.Platform, c.Workload, err)
-			}
-		}
-		if err := CheckRun(c.Result); err != nil {
-			return fmt.Errorf("conformance: %s × %s: %w", c.Platform, c.Workload, err)
-		}
-		if tail {
-			if err := checkTailLatency(c.Result); err != nil {
-				return fmt.Errorf("conformance: %s × %s: %w", c.Platform, c.Workload, err)
-			}
-		}
-	}
-	for _, c := range row[1:] {
-		ref := row[0]
-		if c.Result.Instance.Checksum() != ref.Result.Instance.Checksum() ||
-			c.Result.Instance.Units() != ref.Result.Instance.Units() {
-			return fmt.Errorf("conformance: %s: %s result %016x/%d disagrees with %s %016x/%d",
-				c.Workload, c.Platform, c.Result.Instance.Checksum(), c.Result.Instance.Units(),
-				ref.Platform, ref.Result.Instance.Checksum(), ref.Result.Instance.Units())
-		}
 	}
 	return nil
 }

@@ -152,6 +152,120 @@ type Result struct {
 	MakespanUS int64
 }
 
+// cell is one execution of a workload on a fresh machine: what the run
+// lifecycle builds and hands to its caller's hooks.
+type cell struct {
+	m    platform.Machine
+	a    *core.App
+	inst platform.Instance
+	mon  *monitor.Monitor // nil when the options ask for no monitor
+	obs  *core.Observer
+}
+
+// hooks are a lifecycle caller's own steps, each run at a fixed point of
+// the sequence.
+type hooks struct {
+	// live, when non-nil, runs once the monitor is started and handed to
+	// the machine.
+	live func(c *cell)
+	// beforeStart and afterStart, when non-nil, spawn the caller's driver
+	// on either side of Start. On the simulators spawn order breaks ties
+	// between events at the same virtual time, so a driver keeps its side.
+	beforeStart, afterStart func(c *cell)
+	// finish runs once the application finished within the horizon; its
+	// error fails the run.
+	finish func(c *cell) error
+}
+
+// lifecycle runs workload w once on a fresh machine of p: build,
+// distribute where the machine shards, attach the event sink, start the
+// monitor, attach the observer, Customize, start, and run the machine to
+// the platform horizon. It is the one run sequence behind Run and every
+// served generation. The cell comes back even on failure once the machine
+// exists, and any failure, finish's included, stops a started monitor: on
+// wall-clock platforms its drivers are real goroutines polling a run that
+// may never quiesce.
+func lifecycle(p platform.Platform, w platform.Workload, opts Options, h hooks) (c *cell, err error) {
+	c = &cell{}
+	c.m, c.a = p.New(w.Name())
+	defer func() {
+		if err != nil && c.mon != nil {
+			c.mon.Stop()
+		}
+	}()
+	if c.inst, err = w.Build(c.a, p, opts.Options); err != nil {
+		return c, err
+	}
+	// Machines that shard the assembly across processes (cluster) take the
+	// distribution seam here — after the workload is built, before the
+	// monitor exists, so every component is marked external before the
+	// first sampling tick.
+	if d, ok := c.m.(distributor); ok {
+		if err = d.Distribute(w.Name(), opts.Options, c.inst); err != nil {
+			return c, err
+		}
+	}
+	if opts.EventSink != nil {
+		c.a.SetEventSink(opts.EventSink)
+	}
+	if opts.Monitor != nil {
+		var mon *monitor.Monitor
+		if mon, err = monitor.New(c.a, *opts.Monitor); err != nil {
+			return c, err
+		}
+		if err = mon.Start(); err != nil {
+			return c, err
+		}
+		c.mon = mon
+		if opts.OnMonitor != nil {
+			opts.OnMonitor(mon)
+		}
+		// Sharding machines also take the live monitor: worker windows are
+		// ingested into it centrally, and its configuration mirrors into
+		// every shard.
+		if mt, ok := c.m.(monitorTaker); ok {
+			mt.TakeMonitor(mon, opts.Monitor)
+		}
+	}
+	if h.live != nil {
+		h.live(c)
+	}
+	if c.obs, err = c.a.AttachObserver(); err != nil {
+		return c, err
+	}
+	if opts.Customize != nil {
+		opts.Customize(c.a, c.obs)
+	}
+	if h.beforeStart != nil {
+		h.beforeStart(c)
+	}
+	if err = c.a.Start(); err != nil {
+		return c, err
+	}
+	if h.afterStart != nil {
+		h.afterStart(c)
+	}
+	horizonUS := int64(horizon) / int64(sim.Microsecond)
+	if !p.Deterministic() {
+		horizonUS = wallHorizonUS
+	}
+	if err = c.m.Run(horizonUS); err != nil {
+		return c, err
+	}
+	if !c.a.Done() {
+		return c, fmt.Errorf("exp: application did not finish before the horizon")
+	}
+	return c, h.finish(c)
+}
+
+// check runs the workload's self-check on a finished cell.
+func (c *cell) check() error {
+	if err := c.inst.Check(); err != nil {
+		return fmt.Errorf("exp: workload self-check: %w", err)
+	}
+	return nil
+}
+
 // Run executes workload w on platform p to completion and collects
 // observations through the in-application observer. It is the single
 // harness path: every binary, experiment, benchmark and conformance cell
@@ -160,93 +274,30 @@ func Run(p platform.Platform, w platform.Workload, opts Options) (*Result, error
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	m, a := p.New(w.Name())
-	inst, err := w.Build(a, p, opts.Options)
-	if err != nil {
-		return nil, err
-	}
-	// Machines that shard the assembly across processes (cluster) take the
-	// distribution seam here — after the workload is built, before the
-	// monitor exists, so every component is marked external before the
-	// first sampling tick.
-	if d, ok := m.(distributor); ok {
-		if err := d.Distribute(w.Name(), opts.Options, inst); err != nil {
-			return nil, err
-		}
-	}
-	if opts.EventSink != nil {
-		a.SetEventSink(opts.EventSink)
-	}
-	var mon *monitor.Monitor
-	if opts.Monitor != nil {
-		mon, err = monitor.New(a, *opts.Monitor)
-		if err != nil {
-			return nil, err
-		}
-		if err := mon.Start(); err != nil {
-			return nil, err
-		}
-		// On wall-clock platforms the monitor's drivers are real
-		// goroutines polling a run that, on any error below, will never
-		// quiesce — tell them to wind down so a failed cell does not
-		// leak pollers for the life of the process.
-		defer func() {
-			if err != nil {
-				mon.Stop()
-			}
-		}()
-		if opts.OnMonitor != nil {
-			opts.OnMonitor(mon)
-		}
-		// Sharding machines also take the live monitor: worker windows are
-		// ingested into it centrally, and its configuration mirrors into
-		// every shard.
-		if mt, ok := m.(monitorTaker); ok {
-			mt.TakeMonitor(mon, opts.Monitor)
-		}
-	}
-	obs, err := a.AttachObserver()
-	if err != nil {
-		return nil, err
-	}
-	if opts.Customize != nil {
-		opts.Customize(a, obs)
-	}
-	if err = a.Start(); err != nil {
-		return nil, err
-	}
-	r := &Result{Platform: p, Machine: m, Kernel: m.Kernel(), App: a, Instance: inst, Monitor: mon}
+	r := &Result{Platform: p}
 	var qErr error
-	a.SpawnDriver("exp-driver", func(f core.Flow) {
-		a.AwaitQuiescence(f)
-		r.MakespanUS = m.NowUS()
-		r.Reports, qErr = obs.QueryAll(f, core.LevelAll)
+	c, err := lifecycle(p, w, opts, hooks{
+		afterStart: func(c *cell) {
+			c.a.SpawnDriver("exp-driver", func(f core.Flow) {
+				c.a.AwaitQuiescence(f)
+				r.MakespanUS = c.m.NowUS()
+				r.Reports, qErr = c.obs.QueryAll(f, core.LevelAll)
+			})
+		},
+		finish: func(c *cell) error {
+			if qErr != nil {
+				return qErr
+			}
+			if r.Reports == nil {
+				return fmt.Errorf("exp: observer queries never ran")
+			}
+			return c.check()
+		},
 	})
-	horizonUS := int64(horizon) / int64(sim.Microsecond)
-	if !p.Deterministic() {
-		horizonUS = wallHorizonUS
-	}
-	// The remaining failure paths assign the outer err so the deferred
-	// monitor Stop above sees them.
-	if err = m.Run(horizonUS); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if !a.Done() {
-		err = fmt.Errorf("exp: application did not finish before the horizon")
-		return nil, err
-	}
-	if qErr != nil {
-		err = qErr
-		return nil, err
-	}
-	if r.Reports == nil {
-		err = fmt.Errorf("exp: observer queries never ran")
-		return nil, err
-	}
-	if cerr := inst.Check(); cerr != nil {
-		err = fmt.Errorf("exp: workload self-check: %w", cerr)
-		return nil, err
-	}
+	r.Machine, r.Kernel, r.App, r.Instance, r.Monitor = c.m, c.m.Kernel(), c.a, c.inst, c.mon
 	return r, nil
 }
 

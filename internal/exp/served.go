@@ -9,13 +9,23 @@ import (
 	"embera/internal/core"
 	"embera/internal/monitor"
 	"embera/internal/platform"
-	"embera/internal/sim"
 )
 
 // ErrNotRunning is returned by control operations that need a live
 // generation (reconnect, stop-drain) when the assembly is idle — stopped,
 // between generations, or already torn down.
 var ErrNotRunning = fmt.Errorf("exp: assembly is not running")
+
+const (
+	// ctlPollUS is the control driver's poll period in platform
+	// microseconds: the latency bound on applying queued control
+	// operations (reconnect, stop) inside a running generation.
+	ctlPollUS = 1000
+	// maxConsecutiveFailures parks the assembly after this many failed
+	// generations in a row, so a workload broken by a control change does
+	// not relaunch forever.
+	maxConsecutiveFailures = 3
+)
 
 // ServedOptions configures RunServed beyond the per-run Options.
 type ServedOptions struct {
@@ -25,18 +35,6 @@ type ServedOptions struct {
 	// keeps a fast simulated workload from busy-looping the host while the
 	// assembly idles between runs.
 	Pace time.Duration
-	// CtlPollUS is the control driver's poll period in platform
-	// microseconds (default 1000): the latency bound on applying queued
-	// control operations (reconnect, stop) inside a running generation.
-	CtlPollUS int64
-	// GenerationHorizonUS bounds one generation in platform time on
-	// wall-clock platforms (default 5 minutes). Simulated generations keep
-	// the batch harness's virtual horizon.
-	GenerationHorizonUS int64
-	// MaxConsecutiveFailures stops the assembly after this many failed
-	// generations in a row (default 3), so a workload broken by a control
-	// change does not relaunch forever.
-	MaxConsecutiveFailures int
 }
 
 // ServedStats is a point-in-time snapshot of a served assembly, merging
@@ -118,11 +116,7 @@ type ServedRun struct {
 	p    platform.Platform
 	w    platform.Workload
 	base Options
-
-	pace      time.Duration
-	ctlPollUS int64
-	horizonUS int64
-	maxFails  int
+	pace time.Duration
 
 	quit     chan struct{} // Close(): permanent shutdown
 	quitOnce sync.Once
@@ -172,30 +166,15 @@ func RunServed(p platform.Platform, w platform.Workload, opts ServedOptions) (*S
 	if opts.Pace < 0 {
 		return nil, fmt.Errorf("exp: negative pace %v", opts.Pace)
 	}
-	if opts.CtlPollUS == 0 {
-		opts.CtlPollUS = 1000
-	}
-	if opts.CtlPollUS < 0 {
-		return nil, fmt.Errorf("exp: negative control poll period %d µs", opts.CtlPollUS)
-	}
-	if opts.GenerationHorizonUS == 0 {
-		opts.GenerationHorizonUS = wallHorizonUS
-	}
-	if opts.MaxConsecutiveFailures == 0 {
-		opts.MaxConsecutiveFailures = 3
-	}
 	if opts.Monitor == nil {
 		opts.Monitor = &monitor.Config{}
 	}
 	sr := &ServedRun{
 		p: p, w: w, base: opts.Options,
-		pace:      opts.Pace,
-		ctlPollUS: opts.CtlPollUS,
-		horizonUS: opts.GenerationHorizonUS,
-		maxFails:  opts.MaxConsecutiveFailures,
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
-		wake:      make(chan struct{}, 1),
+		pace: opts.Pace,
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
+		wake: make(chan struct{}, 1),
 	}
 	// Desired sampling state starts from the configured monitor, with the
 	// monitor package's own defaults where unset.
@@ -245,7 +224,7 @@ func (sr *ServedRun) loop() {
 		if err != nil && !sr.stopReq {
 			sr.lastErr = err
 			sr.fails++
-			if sr.fails >= sr.maxFails {
+			if sr.fails >= maxConsecutiveFailures {
 				// A persistently failing workload parks the assembly
 				// instead of relaunching forever; Start() retries.
 				sr.stopReq = true
@@ -263,10 +242,10 @@ func (sr *ServedRun) loop() {
 	}
 }
 
-// runGeneration executes one full workload run under observation: the
-// served counterpart of Run, without the final observer query (the window
-// stream is the product) and tolerant of an interrupt mid-run.
-func (sr *ServedRun) runGeneration() (err error) {
+// runGeneration executes one generation: the run lifecycle with the
+// control driver spawned before Start, no final observer query (the window
+// stream is the product), and tolerance for an interrupt mid-run.
+func (sr *ServedRun) runGeneration() error {
 	sr.gens.Add(1)
 
 	sr.mu.Lock()
@@ -284,54 +263,53 @@ func (sr *ServedRun) runGeneration() (err error) {
 	}
 	sr.mu.Unlock()
 
-	m, a := sr.p.New(sr.w.Name())
+	opts := sr.base
+	opts.Monitor = &mcfg
 	if capture != nil {
-		defer func() { capture.ch <- CapturedGeneration{App: a, Err: err} }()
+		opts.EventSink = capture.sink
 	}
-	inst, err := sr.w.Build(a, sr.p, sr.base.Options)
-	if err != nil {
-		return err
-	}
-	// Sharding machines (cluster) take the distribution seam before the
-	// monitor exists, exactly as in exp.Run.
-	if d, ok := m.(distributor); ok {
-		if err := d.Distribute(sr.w.Name(), sr.base.Options, inst); err != nil {
-			return err
+	// The caller's OnMonitor sees the generation's monitor with the
+	// assembly's pause state already applied.
+	opts.OnMonitor = func(mon *monitor.Monitor) {
+		if paused {
+			mon.Pause()
+		}
+		if sr.base.OnMonitor != nil {
+			sr.base.OnMonitor(mon)
 		}
 	}
-	switch {
-	case capture != nil:
-		a.SetEventSink(capture.sink)
-	case sr.base.EventSink != nil:
-		a.SetEventSink(sr.base.EventSink)
-	}
-	mon, err := monitor.New(a, mcfg)
-	if err != nil {
-		return err
-	}
-	if err := mon.Start(); err != nil {
-		return err
-	}
-	if paused {
-		mon.Pause()
-	}
-	if sr.base.OnMonitor != nil {
-		sr.base.OnMonitor(mon)
-	}
-	if mt, ok := m.(monitorTaker); ok {
-		mt.TakeMonitor(mon, &mcfg)
-	}
-
-	sr.mu.Lock()
-	sr.machine, sr.app, sr.mon = m, a, mon
-	sr.running = true
-	sr.mu.Unlock()
-
-	defer func() {
+	published := false
+	c, err := lifecycle(sr.p, sr.w, opts, hooks{
+		live: func(c *cell) {
+			sr.mu.Lock()
+			sr.machine, sr.app, sr.mon = c.m, c.a, c.mon
+			sr.running = true
+			sr.mu.Unlock()
+			published = true
+		},
+		beforeStart: func(c *cell) {
+			c.a.SpawnDriver("serve/control", func(f core.Flow) { sr.controlLoop(c.a, f) })
+		},
+		finish: func(c *cell) error {
+			sr.lastEnd.Store(c.m.NowUS())
+			sr.units.Add(uint64(c.inst.Units()))
+			if sr.interrupted() {
+				// A stopped generation is cut short by design: its units
+				// count, its self-check is meaningless.
+				return nil
+			}
+			if err := c.check(); err != nil {
+				return err
+			}
+			sr.checks.Add(1)
+			return nil
+		},
+	})
+	if published {
 		// Unpublish the generation, fold its pipeline accounting into the
 		// long-run totals and answer any control op that raced the exit.
 		sr.mu.Lock()
-		sr.lastEff = mon.EffectiveLevels()
+		sr.lastEff = c.mon.EffectiveLevels()
 		sr.machine, sr.app, sr.mon = nil, nil, nil
 		sr.running = false
 		ops := sr.ops
@@ -340,48 +318,14 @@ func (sr *ServedRun) runGeneration() (err error) {
 		for _, op := range ops {
 			op.done <- ErrNotRunning
 		}
-		sr.samples.Add(mon.Samples())
-		sr.dropped.Add(mon.Dropped())
-		sr.sinkErr.Add(mon.SinkErrors())
-	}()
-
-	obs, err := a.AttachObserver()
-	if err != nil {
-		mon.Stop()
-		return err
+		sr.samples.Add(c.mon.Samples())
+		sr.dropped.Add(c.mon.Dropped())
+		sr.sinkErr.Add(c.mon.SinkErrors())
 	}
-	if sr.base.Customize != nil {
-		sr.base.Customize(a, obs)
+	if capture != nil {
+		capture.ch <- CapturedGeneration{App: c.a, Err: err}
 	}
-	a.SpawnDriver("serve/control", func(f core.Flow) { sr.controlLoop(a, f) })
-	if err := a.Start(); err != nil {
-		mon.Stop()
-		return err
-	}
-	horizonUS := int64(horizon) / int64(sim.Microsecond)
-	if !sr.p.Deterministic() {
-		horizonUS = sr.horizonUS
-	}
-	if err := m.Run(horizonUS); err != nil {
-		mon.Stop()
-		return err
-	}
-	if !a.Done() {
-		mon.Stop()
-		return fmt.Errorf("exp: generation did not finish before the horizon")
-	}
-	sr.lastEnd.Store(m.NowUS())
-	sr.units.Add(uint64(inst.Units()))
-	if sr.interrupted() {
-		// A stopped generation is cut short by design: its units count,
-		// its self-check is meaningless.
-		return nil
-	}
-	if cerr := inst.Check(); cerr != nil {
-		return fmt.Errorf("exp: workload self-check: %w", cerr)
-	}
-	sr.checks.Add(1)
-	return nil
+	return err
 }
 
 // controlLoop is the per-generation control driver: it polls the op queue
@@ -391,7 +335,7 @@ func (sr *ServedRun) runGeneration() (err error) {
 // application finished.
 func (sr *ServedRun) controlLoop(a *core.App, f core.Flow) {
 	for !a.Done() {
-		f.SleepUS(sr.ctlPollUS)
+		f.SleepUS(ctlPollUS)
 		sr.applyOps(a, f)
 	}
 	sr.applyOps(a, f)

@@ -30,12 +30,6 @@ const Family = "rand"
 // Name returns the registry name of the workload for one seed.
 func Name(seed int64) string { return fmt.Sprintf("%s:%d", Family, seed) }
 
-// ReproCommand is the one-line reproduction command for a failing seed —
-// the string every sweep failure must surface.
-func ReproCommand(seed int64) string {
-	return fmt.Sprintf("embera-bench -exp FUZZ -seed %d", seed)
-}
-
 // NodeKind classifies a node's role in the generated DAG, derived from its
 // in/out degree. The classification is informational (listings, summaries);
 // the execution semantics depend only on the degrees themselves.

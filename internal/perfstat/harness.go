@@ -21,18 +21,21 @@ type HarnessOptions struct {
 	Workloads []string
 	// Scale is the workload scale of each cell (default 40).
 	Scale int
-	// SamplePeriodUS is the monitor-on sampling period (default 1000 µs of
-	// platform time, the production-realistic millisecond sampler).
-	SamplePeriodUS int64
-	// Repeats is how many times each cell is measured; the repetition with
-	// the minimum wall time is recorded (default 3). Host wall time is
-	// noisy everywhere — scheduler preemption on any platform, goroutine
-	// parking on native, process spawn on cluster — and a single sample
-	// can swamp the monitoring cost being measured; the minimum is the
-	// classic noise filter. Allocation counts do not need the filter (they
-	// are stable), so recording the fastest run's counts loses nothing.
-	Repeats int
 }
+
+const (
+	// samplePeriodUS is the monitor-on sampling period: 1000 µs of
+	// platform time, the production-realistic millisecond sampler.
+	samplePeriodUS = 1000
+	// repeats is how many times each cell is measured; the repetition with
+	// the minimum wall time is recorded. Host wall time is noisy everywhere
+	// — scheduler preemption on any platform, goroutine parking on native,
+	// process spawn on cluster — and a single sample can swamp the
+	// monitoring cost being measured; the minimum is the classic noise
+	// filter. Allocation counts do not need the filter (they are stable),
+	// so recording the fastest run's counts loses nothing.
+	repeats = 3
+)
 
 func (o *HarnessOptions) setDefaults() {
 	if len(o.Platforms) == 0 {
@@ -53,17 +56,11 @@ func (o *HarnessOptions) setDefaults() {
 	if o.Scale == 0 {
 		o.Scale = 40
 	}
-	if o.SamplePeriodUS == 0 {
-		o.SamplePeriodUS = 1000
-	}
-	if o.Repeats == 0 {
-		o.Repeats = 3
-	}
 }
 
 // measureCell runs one platform×workload×options cell repeats times and
 // returns the run and cost of the repetition with the smallest wall time.
-func measureCell(p platform.Platform, w platform.Workload, opts exp.Options, repeats int) (*exp.Result, exp.HostCost, error) {
+func measureCell(p platform.Platform, w platform.Workload, opts exp.Options) (*exp.Result, exp.HostCost, error) {
 	var bestRun *exp.Result
 	var bestCost exp.HostCost
 	for i := 0; i < repeats; i++ {
@@ -82,7 +79,7 @@ func measureCell(p platform.Platform, w platform.Workload, opts exp.Options, rep
 // (baseline) and monitor on (millisecond application-level sampling) — and
 // records both cells' host costs into a Record, keyed
 // "OV/<platform>×<workload>/monitor-{off,on}". Each cell records the
-// minimum over Repeats runs (see HarnessOptions). Monitor-on entries carry the
+// minimum over repeats runs. Monitor-on entries carry the
 // relative host-time overhead in OverheadPct: the paper's "cheap enough to
 // leave enabled" claim as a number the trajectory tracks run over run.
 func ObservationOverhead(opts HarnessOptions) (Record, error) {
@@ -99,17 +96,17 @@ func ObservationOverhead(opts HarnessOptions) (Record, error) {
 				return nil, err
 			}
 			runOpts := exp.Options{Options: platform.Options{Scale: opts.Scale}}
-			off, offCost, err := measureCell(p, w, runOpts, opts.Repeats)
+			off, offCost, err := measureCell(p, w, runOpts)
 			if err != nil {
 				return nil, fmt.Errorf("perfstat: %s × %s monitor-off: %w", pname, wname, err)
 			}
 			monOpts := runOpts
 			monOpts.Monitor = &monitor.Config{
 				Levels: []monitor.LevelPeriod{
-					{Level: core.LevelApplication, PeriodUS: opts.SamplePeriodUS},
+					{Level: core.LevelApplication, PeriodUS: samplePeriodUS},
 				},
 			}
-			on, onCost, err := measureCell(p, w, monOpts, opts.Repeats)
+			on, onCost, err := measureCell(p, w, monOpts)
 			if err != nil {
 				return nil, fmt.Errorf("perfstat: %s × %s monitor-on: %w", pname, wname, err)
 			}
@@ -142,16 +139,16 @@ func ObservationOverhead(opts HarnessOptions) (Record, error) {
 // any of these paths fails the build.
 func MicroBenchmarks() Record {
 	rec := Record{}
-	rec["micro/monitor-sample-tick"] = fromBenchmark(testing.Benchmark(benchMonitorSampleTick))
+	rec["micro/monitor-sample-tick"] = fromBenchmark(testing.Benchmark(BenchMonitorSampleTick))
 	// The native micro parks goroutines at a scheduling-dependent rate and
 	// each park allocates a waiter channel, so like the OV native cells it
 	// is tracked but exempt from the gate.
-	native := fromBenchmark(testing.Benchmark(benchNativeMailboxSend))
+	native := fromBenchmark(testing.Benchmark(BenchNativeMailboxSend))
 	native.Nondeterministic = true
 	rec["micro/native-mailbox-send"] = native
-	rec["micro/sim-kernel-send"] = fromBenchmark(testing.Benchmark(benchSimKernelSend))
+	rec["micro/sim-kernel-send"] = fromBenchmark(testing.Benchmark(BenchSimKernelSend))
 	rec["micro/trace-emit"] = fromBenchmark(testing.Benchmark(benchTraceEmit))
-	rec["micro/trace-write-event"] = fromBenchmark(testing.Benchmark(benchTraceWrite))
+	rec["micro/trace-write-event"] = fromBenchmark(testing.Benchmark(BenchTraceWrite))
 	return rec
 }
 
@@ -161,11 +158,11 @@ func fromBenchmark(r testing.BenchmarkResult) Entry {
 	return NewEntry(r.T.Nanoseconds(), uint64(r.MemAllocs), uint64(r.MemBytes), float64(r.N))
 }
 
-// benchMonitorSampleTick measures one monitor sampling tick over the
+// BenchMonitorSampleTick measures one monitor sampling tick over the
 // registered pipeline workload on smp: SampleAll into a reused buffer, wrap,
 // PushBatch into the ring, drain. This is the per-tick cost of leaving the
 // streaming monitor enabled.
-func benchMonitorSampleTick(b *testing.B) {
+func BenchMonitorSampleTick(b *testing.B) {
 	p := platform.MustGet("smp")
 	_, a := p.New("perfstat")
 	w := platform.MustGetWorkload("pipeline")
@@ -188,10 +185,10 @@ func benchMonitorSampleTick(b *testing.B) {
 	}
 }
 
-// benchNativeMailboxSend measures one instrumented send+receive round
+// BenchNativeMailboxSend measures one instrumented send+receive round
 // through the native channel-backed mailbox, the wall-clock platform's hot
 // path.
-func benchNativeMailboxSend(b *testing.B) {
+func BenchNativeMailboxSend(b *testing.B) {
 	m, a := platform.MustGet("native").New("perfstat")
 	n := b.N
 	prod := a.MustNewComponent("prod", func(ctx *core.Ctx) {
@@ -219,9 +216,9 @@ func benchNativeMailboxSend(b *testing.B) {
 	}
 }
 
-// benchSimKernelSend measures one blocking put+get round through the sim
+// BenchSimKernelSend measures one blocking put+get round through the sim
 // kernel's queue — park, wake and resume riding the recycled event structs.
-func benchSimKernelSend(b *testing.B) {
+func BenchSimKernelSend(b *testing.B) {
 	k := sim.NewKernel()
 	q := sim.NewQueue[int](k, "q", 1)
 	n := b.N
@@ -257,9 +254,9 @@ func benchTraceEmit(b *testing.B) {
 	}
 }
 
-// benchTraceWrite measures the binary codec per event (4096-event trace per
-// Write call).
-func benchTraceWrite(b *testing.B) {
+// BenchTraceWrite measures the binary codec per event: each Write call
+// encodes a 4096-event trace and counts as 4096 operations.
+func BenchTraceWrite(b *testing.B) {
 	r := trace.NewRecorder(4096)
 	for i := 0; i < 4096; i++ {
 		r.Emit(core.Event{TimeUS: int64(i), Kind: core.EvSend,

@@ -3,9 +3,9 @@ package serve
 import (
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"embera/internal/monitor"
 )
@@ -37,12 +37,11 @@ func TestBrokerSlowSubscriberContract(t *testing.T) {
 	fast := b.Subscribe("")
 	stalled := b.Subscribe("")
 
-	var wg sync.WaitGroup
-	wg.Add(1)
+	done := make(chan struct{})
 	var received atomic.Uint64
 	var outOfOrder atomic.Bool
 	go func() {
-		defer wg.Done()
+		defer close(done)
 		var lastSeq uint64
 		for ev := range fast.C() {
 			if ev.Seq <= lastSeq {
@@ -60,16 +59,19 @@ func TestBrokerSlowSubscriberContract(t *testing.T) {
 	runtime.ReadMemStats(&m0)
 
 	for seq := uint64(1); seq <= total; seq++ {
-		b.Publish(event("a0", seq, component))
-		if seq%64 == 0 {
-			// Let the fast consumer drain: the contract under test is the
-			// stalled queue, not the fast reader's scheduling luck.
-			for fast.Enqueued()-received.Load() > queueCap/2 {
-				runtime.Gosched()
-			}
+		// Back-pressure on every publish: the contract under test is the
+		// stalled queue, not the fast reader's scheduling luck, so no event
+		// may find the fast queue full.
+		for fast.Enqueued()-received.Load() >= queueCap {
+			runtime.Gosched()
 		}
+		b.Publish(event("a0", seq, component))
 	}
-	wg.Wait()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("fast subscriber received %d of %d events, dropped %d", received.Load(), total, fast.Dropped())
+	}
 
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
