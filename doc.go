@@ -28,7 +28,9 @@
 //     once per shard, and cross-shard messages, monitor windows and
 //     final reports travel the length-prefixed frame protocol of
 //     internal/wire (zero-alloc little-endian encode for scalar
-//     payloads, gob fallback for structs, 64 MiB frame cap). The
+//     payloads, a binary codec registered per struct payload type,
+//     64 MiB frame cap); the coordinator relays data frames without
+//     decoding their payloads. The
 //     coordinator ingests worker windows into its own monitor and
 //     merges workload partials, so one run's results look exactly like
 //     a single-process run. Deterministic() is false — workers run on

@@ -17,6 +17,7 @@
 package cluster
 
 import (
+	"fmt"
 	"hash/fnv"
 
 	"embera/internal/core"
@@ -79,6 +80,11 @@ type edge struct {
 	from, to  *core.Component
 	fromIface string
 	toIface   string
+}
+
+// String names the edge in errors: its index and both endpoints.
+func (e edge) String() string {
+	return fmt.Sprintf("edge %d %s.%s -> %s.%s", e.id, e.from.Name(), e.fromIface, e.to.Name(), e.toIface)
 }
 
 func edgeTable(app *core.App) []edge {

@@ -1,8 +1,13 @@
 package cluster_test
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -13,6 +18,7 @@ import (
 	"embera/internal/monitor"
 	"embera/internal/pipelineapp"
 	"embera/internal/platform"
+	"embera/internal/wire"
 )
 
 // TestMain lets this test binary serve as a cluster worker shard: the
@@ -21,6 +27,151 @@ import (
 func TestMain(m *testing.M) {
 	cluster.MaybeWorkerMain()
 	os.Exit(m.Run())
+}
+
+// The data-path failure workloads send struct payloads from Source to
+// Consumer, which land on different shards of two. noCodec has no wire
+// codec; picky has one whose decoder rejects its own encoding. They are
+// registered at init, so the re-exec'd workers rebuild them too.
+type (
+	noCodec struct{ N int }
+	picky   struct{ N int }
+)
+
+func init() {
+	wire.Register("cluster_test.picky",
+		func(buf []byte, p picky) ([]byte, error) {
+			return binary.LittleEndian.AppendUint64(buf, uint64(p.N)), nil
+		},
+		func([]byte) (picky, error) { return picky{}, errors.New("picky rejects every encoding") })
+	for name, payload := range map[string]func(int) any{
+		"wirefail-nocodec": func(i int) any { return noCodec{i} },
+		"wirefail-picky":   func(i int) any { return picky{i} },
+	} {
+		platform.RegisterWorkload(name, func() platform.Workload { return &failWorkload{name: name, payload: payload} })
+	}
+}
+
+type failWorkload struct {
+	name     string
+	payload  func(int) any
+	received atomic.Int64
+	want     int
+}
+
+func (w *failWorkload) Name() string     { return w.name }
+func (w *failWorkload) Describe() string { return "struct payloads the wire cannot carry" }
+
+func (w *failWorkload) Build(a *core.App, _ platform.Platform, opts platform.Options) (platform.Instance, error) {
+	w.want = opts.Scale
+	src, err := a.NewComponent("Source", func(ctx *core.Ctx) {
+		for i := 0; i < w.want && ctx.Send("out", w.payload(i), 8); i++ {
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	dst, err := a.NewComponent("Consumer", func(ctx *core.Ctx) {
+		for {
+			if _, ok := ctx.Receive("in"); !ok {
+				return
+			}
+			w.received.Add(1)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	src.Place(0)
+	dst.Place(0)
+	if err := src.AddRequired("out"); err != nil {
+		return nil, err
+	}
+	if err := dst.AddProvided("in", 64); err != nil {
+		return nil, err
+	}
+	if err := a.Connect(src, "out", dst, "in"); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+func (w *failWorkload) Units() int       { return int(w.received.Load()) }
+func (w *failWorkload) Checksum() uint64 { return 0 }
+func (w *failWorkload) Summary() string  { return fmt.Sprintf("received %d/%d", w.Units(), w.want) }
+func (w *failWorkload) Check() error {
+	if w.Units() != w.want {
+		return fmt.Errorf("received %d payloads, want %d", w.Units(), w.want)
+	}
+	return nil
+}
+
+// TestDataPathFailuresAreNamed: a payload that cannot cross the wire fails
+// the run with an error naming the worker, the edge and the payload type,
+// whether the sending worker cannot encode it or the receiving worker
+// cannot decode it. The failed run leaves no worker process and no
+// goroutine behind.
+func TestDataPathFailuresAreNamed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	cases := []struct {
+		workload, typ, side, owner string
+	}{
+		{"wirefail-nocodec", "cluster_test.noCodec", "sending on edge 0 Source.out -> Consumer.in", "Source"},
+		{"wirefail-picky", "cluster_test.picky", "receiving on edge 0 Source.out -> Consumer.in", "Consumer"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.workload, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			m, a := cluster.New(tc.workload, 2, 2)
+			const payloads = 100
+			inst, err := platform.MustGetWorkload(tc.workload).Build(a, platform.MustGet("cluster"), platform.Options{Scale: payloads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Distribute(tc.workload, payloads, 0, nil, inst); err != nil {
+				t.Fatal(err)
+			}
+			if m.ShardOf("Source") == m.ShardOf("Consumer") {
+				t.Fatal("placement moved Source and Consumer onto one shard")
+			}
+			if err := a.Start(); err != nil {
+				t.Fatal(err)
+			}
+			runDone := make(chan error, 1)
+			go func() { runDone <- m.Run(60e6) }()
+			var runErr error
+			select {
+			case runErr = <-runDone:
+			case <-time.After(90 * time.Second):
+				t.Fatal("cluster run hung after a data-path failure")
+			}
+			if runErr == nil {
+				t.Fatalf("run succeeded with %s", inst.Summary())
+			}
+			msg := runErr.Error()
+			for _, want := range []string{
+				fmt.Sprintf("cluster: worker %d failed: ", m.ShardOf(tc.owner)), tc.side, tc.typ,
+			} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("error does not say %q: %v", want, runErr)
+				}
+			}
+			for _, pid := range m.WorkerPIDs() {
+				if err := syscall.Kill(pid, 0); err == nil {
+					t.Errorf("worker process %d survives the failed run", pid)
+				}
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines after the failed run, %d before", n, base)
+			}
+		})
+	}
 }
 
 func TestShardOfDeterministicAndBounded(t *testing.T) {

@@ -209,10 +209,20 @@ func (m *Machine) Interrupt() {
 		m.nm.Interrupt()
 		return
 	}
-	m.broadcast(&wire.Frame{Type: wire.TypeTerminate})
+	m.broadcast(control(wire.Frame{Type: wire.TypeTerminate}))
 }
 
-func (m *Machine) broadcast(f *wire.Frame) {
+// control encodes a frame the coordinator originates. Such frames carry no
+// payload, so encoding them cannot fail.
+func control(f wire.Frame) wire.Raw {
+	raw, err := wire.AppendFrame(nil, &f)
+	if err != nil {
+		panic(fmt.Sprintf("cluster: encoding control frame type %d: %v", f.Type, err))
+	}
+	return raw
+}
+
+func (m *Machine) broadcast(f wire.Raw) {
 	m.mu.Lock()
 	links := append([]*workerLink(nil), m.links...)
 	m.mu.Unlock()
@@ -234,7 +244,7 @@ func (m *Machine) sendKill(c *core.Component) {
 	}
 	m.mu.Unlock()
 	if l != nil {
-		l.out.push(&wire.Frame{Type: wire.TypeCompKill, Name: c.Name()})
+		l.out.push(control(wire.Frame{Type: wire.TypeCompKill, Name: c.Name()}))
 	}
 }
 
@@ -422,7 +432,7 @@ func (m *Machine) runSharded(horizonUS int64) error {
 
 	// An interrupt that raced the launch must still reach the workers.
 	if m.interrupted.Load() {
-		m.broadcast(&wire.Frame{Type: wire.TypeTerminate})
+		m.broadcast(control(wire.Frame{Type: wire.TypeTerminate}))
 	}
 
 	// The local machine waits for the harness drivers (observation driver,
@@ -431,7 +441,7 @@ func (m *Machine) runSharded(horizonUS int64) error {
 	if natErr != nil {
 		// Local horizon exceeded — the fleet is hung. Cut the sockets so
 		// the readers unwind and the error surfaces.
-		m.broadcast(&wire.Frame{Type: wire.TypeTerminate})
+		m.broadcast(control(wire.Frame{Type: wire.TypeTerminate}))
 	}
 
 	byeDone := make(chan struct{})
@@ -451,13 +461,9 @@ func (m *Machine) runSharded(horizonUS int64) error {
 	<-orchDone
 
 	// Drain the outbound queues: anything still buffered was never
-	// delivered. Data frames count as losses.
+	// delivered.
 	for _, l := range links {
-		for _, f := range l.out.close() {
-			if f.Type == wire.TypeData {
-				m.lost.Add(1)
-			}
-		}
+		m.countLost(l.out.close()...)
 	}
 
 	for _, l := range links {
@@ -497,6 +503,16 @@ func (m *Machine) killAll(links []*workerLink) {
 	}
 }
 
+// countLost counts the data frames among frames that were never delivered
+// as in-flight losses.
+func (m *Machine) countLost(frames ...wire.Raw) {
+	for _, f := range frames {
+		if f.Type() == wire.TypeData {
+			m.lost.Add(1)
+		}
+	}
+}
+
 // runWriter drains one worker's outbound queue onto its socket. On a write
 // error the queue closes and its residue counts as losses.
 func (m *Machine) runWriter(l *workerLink) {
@@ -505,48 +521,54 @@ func (m *Machine) runWriter(l *workerLink) {
 		if !ok {
 			return
 		}
-		if err := l.conn.WriteFrame(f); err != nil {
-			if f.Type == wire.TypeData {
-				m.lost.Add(1)
-			}
-			for _, r := range l.out.close() {
-				if r.Type == wire.TypeData {
-					m.lost.Add(1)
-				}
-			}
+		if err := l.conn.WriteRaw(f); err != nil {
+			m.countLost(f)
+			m.countLost(l.out.close()...)
 			return
 		}
 	}
 }
 
-// runReader consumes one worker's inbound stream: data and edge-close
-// frames relay straight to the destination shard, windows ingest into the
-// coordinator monitor, report and life-cycle frames go to the orchestrator.
+// runReader consumes one worker's inbound stream. Data and edge-close
+// frames are routed on their edge and relayed to the destination shard as
+// read: their payloads are decoded only by the worker that receives them,
+// which also reports a payload that fails to decode. Windows ingest into
+// the coordinator monitor; report and life-cycle frames go to the
+// orchestrator.
 func (m *Machine) runReader(l *workerLink, links []*workerLink, events chan<- event) {
+	died := func(err error) {
+		if !l.bye.Load() {
+			events <- event{kind: evDied, shard: l.shard,
+				err: fmt.Errorf("cluster: worker %d exited before goodbye: %v", l.shard, err)}
+		}
+	}
 	for {
-		f := new(wire.Frame)
-		if err := l.conn.ReadFrame(f); err != nil {
-			if !l.bye.Load() {
-				events <- event{kind: evDied, shard: l.shard,
-					err: fmt.Errorf("cluster: worker %d exited before goodbye: %v", l.shard, err)}
-			}
+		raw, err := l.conn.ReadRaw(nil)
+		if err != nil {
+			died(err)
 			return
 		}
-		switch f.Type {
-		case wire.TypeData, wire.TypeEdgeClose:
-			id := int(f.Edge)
-			if id < 0 || id >= len(m.dstShard) {
+		if id, ok := raw.Edge(); ok {
+			if id >= uint32(len(m.dstShard)) {
 				continue
 			}
 			dst := links[m.dstShard[id]]
-			if f.Type == wire.TypeData {
+			if raw.Type() == wire.TypeData {
 				m.edgeFrames[id].Add(1)
-				if dst.dead.Load() || !dst.out.push(f) {
+				if dst.dead.Load() || !dst.out.push(raw) {
 					m.lost.Add(1)
 				}
 				continue
 			}
-			dst.out.push(f)
+			dst.out.push(raw)
+			continue
+		}
+		f := new(wire.Frame)
+		if err := wire.DecodeFrame(raw.Body(), f); err != nil {
+			died(err)
+			return
+		}
+		switch f.Type {
 		case wire.TypeWindows:
 			if m.mon != nil {
 				for _, w := range f.Windows {
@@ -584,7 +606,7 @@ func (m *Machine) orchestrate(links []*workerLink, events <-chan event) {
 			if sm, ok := m.inst.(ShardMerger); ok {
 				sm.MergeShard(int(ev.frame.Units), ev.frame.Checksum)
 			}
-			done := &wire.Frame{Type: wire.TypeShardDone, Shard: uint32(ev.shard)}
+			done := control(wire.Frame{Type: wire.TypeShardDone, Shard: uint32(ev.shard)})
 			for _, l := range links {
 				if l.shard != ev.shard {
 					l.out.push(done)
@@ -601,20 +623,16 @@ func (m *Machine) orchestrate(links []*workerLink, events <-chan event) {
 				continue
 			}
 			m.recordErr(ev.err)
-			for _, f := range l.out.close() {
-				if f.Type == wire.TypeData {
-					m.lost.Add(1)
-				}
-			}
+			m.countLost(l.out.close()...)
 			// Close every edge leaving the dead shard so downstream
 			// consumers drain instead of waiting forever, and tell the
 			// survivors the shard is done so they can quiesce.
 			for i := range m.edges {
 				if m.srcShard[i] == ev.shard && m.dstShard[i] != ev.shard {
-					links[m.dstShard[i]].out.push(&wire.Frame{Type: wire.TypeEdgeClose, Edge: uint32(i)})
+					links[m.dstShard[i]].out.push(control(wire.Frame{Type: wire.TypeEdgeClose, Edge: uint32(i)}))
 				}
 			}
-			done := &wire.Frame{Type: wire.TypeShardDone, Shard: uint32(ev.shard)}
+			done := control(wire.Frame{Type: wire.TypeShardDone, Shard: uint32(ev.shard)})
 			for _, other := range links {
 				if other.shard != ev.shard {
 					other.out.push(done)

@@ -6,17 +6,18 @@ import (
 	"embera/internal/wire"
 )
 
-// frameQueue is an unbounded frame FIFO. The relay readers must never block
-// on a slow peer — that is the deadlock-freedom invariant of the star
-// topology — so enqueue always succeeds and a dedicated drainer goroutine
-// per destination pushes toward the socket. Unboundedness is the explicit
-// backpressure tradeoff: data frames still see end-to-end backpressure
-// through the producing component's blocking transport write, but control
-// frames ride through without ordering inversions or lock cycles.
+// frameQueue is an unbounded FIFO of encoded frames. The relay readers must
+// never block on a slow peer — that is the deadlock-freedom invariant of the
+// star topology — so enqueue always succeeds and a dedicated drainer
+// goroutine per destination pushes toward the socket. Unboundedness is the
+// explicit backpressure tradeoff: data frames still see end-to-end
+// backpressure through the producing component's blocking transport write,
+// but control frames ride through without ordering inversions or lock
+// cycles.
 type frameQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	buf    []*wire.Frame
+	buf    []wire.Raw
 	head   int
 	closed bool
 }
@@ -29,7 +30,7 @@ func newFrameQueue() *frameQueue {
 
 // push enqueues f; it reports false when the queue is closed (the peer is
 // gone), which callers count as a loss for data frames.
-func (q *frameQueue) push(f *wire.Frame) bool {
+func (q *frameQueue) push(f wire.Raw) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -42,7 +43,7 @@ func (q *frameQueue) push(f *wire.Frame) bool {
 
 // pop dequeues the next frame, blocking until one arrives or the queue
 // closes. ok=false means closed and drained.
-func (q *frameQueue) pop() (*wire.Frame, bool) {
+func (q *frameQueue) pop() (wire.Raw, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.buf) == q.head && !q.closed {
@@ -63,14 +64,14 @@ func (q *frameQueue) pop() (*wire.Frame, bool) {
 
 // close marks the queue dead and returns the frames still buffered, so the
 // caller can count undelivered data frames as in-flight losses. Idempotent.
-func (q *frameQueue) close() []*wire.Frame {
+func (q *frameQueue) close() []wire.Raw {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return nil
 	}
 	q.closed = true
-	rest := append([]*wire.Frame(nil), q.buf[q.head:]...)
+	rest := append([]wire.Raw(nil), q.buf[q.head:]...)
 	q.buf, q.head = nil, 0
 	q.cond.Broadcast()
 	return rest

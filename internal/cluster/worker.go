@@ -68,23 +68,60 @@ func MaybeWorkerMain() {
 // wireTransport is the sending half of a cross-shard edge: core.Ctx.Send
 // dispatches here instead of the (external) consumer's local mailbox. The
 // frame write blocks on the socket when the coordinator falls behind, which
-// is the only backpressure a remote edge applies to its producer.
+// is the only backpressure a remote edge applies to its producer. A message
+// that cannot be sent fails the worker, naming the edge and the cause.
 type wireTransport struct {
-	wc   *wire.Conn
-	edge uint32
+	wc    *wire.Conn
+	edge  edge
+	fault *fault
 }
 
 func (t *wireTransport) Send(f core.Flow, m core.Message) bool {
 	fr := wire.Frame{
-		Type: wire.TypeData, Edge: t.edge,
+		Type: wire.TypeData, Edge: uint32(t.edge.id),
 		Bytes: int64(m.Bytes), From: m.From, Payload: m.Payload,
 	}
-	return t.wc.WriteFrame(&fr) == nil
+	if err := t.wc.WriteFrame(&fr); err != nil {
+		t.fault.report(fmt.Errorf("sending on %v: %w", t.edge, err))
+		return false
+	}
+	return true
 }
 
 func (t *wireTransport) CloseProducer() {
-	fr := wire.Frame{Type: wire.TypeEdgeClose, Edge: t.edge}
+	fr := wire.Frame{Type: wire.TypeEdgeClose, Edge: uint32(t.edge.id)}
 	_ = t.wc.WriteFrame(&fr)
+}
+
+// fault is a worker's first data-path failure. Reporting it sends the
+// coordinator an error frame, which fails the run with the error named,
+// and halts the local run so the worker exits instead of running on with a
+// message lost.
+type fault struct {
+	wc   *wire.Conn
+	halt func()
+
+	mu  sync.Mutex
+	err error
+}
+
+func (f *fault) report(err error) {
+	f.mu.Lock()
+	first := f.err == nil
+	if first {
+		f.err = err
+	}
+	f.mu.Unlock()
+	if first {
+		_ = f.wc.WriteFrame(&wire.Frame{Type: wire.TypeError, Name: err.Error()})
+		f.halt()
+	}
+}
+
+func (f *fault) get() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
 }
 
 func workerMain(cfgPath string) int {
@@ -153,12 +190,24 @@ func workerMain(cfgPath string) int {
 	// per-edge injection queues carry remote producers' messages in.
 	edges := edgeTable(app)
 	inQ := make(map[int]*msgQueue)
+	// halt interrupts the local run and releases everything that waits on
+	// the coordinator, so the process exits instead of hanging.
+	halt := func() {
+		nm.Interrupt()
+		for _, c := range comps {
+			app.FinishExternal(c)
+		}
+		for _, q := range inQ {
+			q.shut()
+		}
+	}
+	flt := &fault{wc: wc, halt: halt}
 	for _, e := range edges {
 		src := ShardOf(e.from.Name(), cfg.Workers)
 		dst := ShardOf(e.to.Name(), cfg.Workers)
 		switch {
 		case src == cfg.Shard && dst != cfg.Shard:
-			if err := app.BindTransport(e.from, e.fromIface, &wireTransport{wc: wc, edge: uint32(e.id)}); err != nil {
+			if err := app.BindTransport(e.from, e.fromIface, &wireTransport{wc: wc, edge: e, fault: flt}); err != nil {
 				return failWire(err)
 			}
 		case dst == cfg.Shard && src != cfg.Shard:
@@ -231,7 +280,7 @@ func workerMain(cfgPath string) int {
 		}()
 	}
 
-	go workerReader(wc, app, nm, comps, inQ, cfg)
+	go workerReader(wc, app, nm, comps, edges, inQ, cfg, flt)
 
 	if len(local) == 0 {
 		// An empty shard reports immediately: zero partials, no reports.
@@ -241,6 +290,9 @@ func workerMain(cfgPath string) int {
 	if err := nm.Run(cfg.HorizonUS); err != nil {
 		return failWire(err)
 	}
+	if err := flt.get(); err != nil {
+		return fail(err)
+	}
 	if err := wc.WriteFrame(&wire.Frame{Type: wire.TypeBye}); err != nil {
 		return fail(err)
 	}
@@ -249,21 +301,26 @@ func workerMain(cfgPath string) int {
 
 // workerReader consumes the coordinator stream: remote data and producer
 // closes feed the injection queues, shard-done frames finish external
-// components, terminate/kill frames drive the local machine. A broken
-// connection (the coordinator died) interrupts the local run and unblocks
-// everything so the process exits instead of hanging.
-func workerReader(wc *wire.Conn, app *core.App, nm *native.Machine,
-	comps []*core.Component, inQ map[int]*msgQueue, cfg workerConfig) {
+// components, terminate/kill frames drive the local machine. A frame that
+// fails to decode — a data payload is decoded here, for the first time
+// since its sender encoded it — is the worker's fault, named with its edge.
+// A broken connection (the coordinator died) halts the local run so the
+// process exits instead of hanging.
+func workerReader(wc *wire.Conn, app *core.App, nm *native.Machine, comps []*core.Component,
+	edges []edge, inQ map[int]*msgQueue, cfg workerConfig, flt *fault) {
+	var raw wire.Raw
 	for {
+		var err error
+		if raw, err = wc.ReadRaw(raw); err != nil {
+			flt.halt()
+			return
+		}
 		var f wire.Frame
-		if err := wc.ReadFrame(&f); err != nil {
-			nm.Interrupt()
-			for _, c := range comps {
-				app.FinishExternal(c)
+		if err := wire.DecodeFrame(raw.Body(), &f); err != nil {
+			if id, ok := raw.Edge(); ok && id < uint32(len(edges)) {
+				err = fmt.Errorf("receiving on %v: %w", edges[id], err)
 			}
-			for _, q := range inQ {
-				q.shut()
-			}
+			flt.report(err)
 			return
 		}
 		switch f.Type {

@@ -202,13 +202,31 @@ func (h *FrameHeader) parseSOF0(seg []byte) error {
 			V:     int(seg[7+3*i] & 0x0F),
 			Quant: seg[8+3*i],
 		}
-		if c.H < 1 || c.H > 2 || c.V < 1 || c.V > 2 {
-			return fmt.Errorf("mjpeg: sampling factor %dx%d outside supported 1..2", c.H, c.V)
-		}
-		if c.Quant > 3 {
-			return fmt.Errorf("mjpeg: quant selector %d out of range", c.Quant)
+		if err := c.check(); err != nil {
+			return err
 		}
 		h.comps = append(h.comps, c)
+	}
+	h.layout()
+	return nil
+}
+
+// check holds a component to the sampling factors and quantization table
+// selectors the decoder supports.
+func (c *componentSpec) check() error {
+	if c.H < 1 || c.H > 2 || c.V < 1 || c.V > 2 {
+		return fmt.Errorf("mjpeg: sampling factor %dx%d outside supported 1..2", c.H, c.V)
+	}
+	if c.Quant > 3 {
+		return fmt.Errorf("mjpeg: quant selector %d out of range", c.Quant)
+	}
+	return nil
+}
+
+// layout derives the MCU grid and every component's block grid from the
+// frame size and the sampling factors.
+func (h *FrameHeader) layout() {
+	for _, c := range h.comps {
 		if c.H > h.maxH {
 			h.maxH = c.H
 		}
@@ -222,7 +240,6 @@ func (h *FrameHeader) parseSOF0(seg []byte) error {
 		h.comps[i].blocksX = h.mcusX * h.comps[i].H
 		h.comps[i].blocksY = h.mcusY * h.comps[i].V
 	}
-	return nil
 }
 
 func parseDHT(seg []byte, dcSpec, acSpec *[4]*huffSpec) error {

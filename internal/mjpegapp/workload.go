@@ -1,13 +1,13 @@
 package mjpegapp
 
 import (
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 
 	"embera/internal/core"
 	"embera/internal/mjpeg"
 	"embera/internal/platform"
+	"embera/internal/wire"
 )
 
 // DefaultFrames is the synthesized input length when the harness provides
@@ -16,10 +16,10 @@ const DefaultFrames = 100
 
 func init() {
 	platform.RegisterWorkload("mjpeg", func() platform.Workload { return &Workload{} })
-	// The decoder's messages carry these concrete group types; register them
-	// so the cluster platform's wire codec can gob-encode them across shards.
-	gob.Register(mjpeg.BlockGroup{})
-	gob.Register(mjpeg.PixelGroup{})
+	// The decoder's messages carry these group types; on the cluster
+	// platform they cross shards through their binary codecs.
+	wire.Register("mjpeg.BlockGroup", mjpeg.AppendBlockGroup, mjpeg.DecodeBlockGroup)
+	wire.Register("mjpeg.PixelGroup", mjpeg.AppendPixelGroup, mjpeg.DecodePixelGroup)
 }
 
 // Workload adapts the MJPEG decoder to the platform/workload registry. The

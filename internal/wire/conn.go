@@ -23,8 +23,7 @@ type Conn struct {
 	wmu  sync.Mutex
 	wbuf []byte
 
-	rbuf []byte
-	rhdr [4]byte
+	rbuf Raw
 
 	framesOut atomic.Uint64
 	framesIn  atomic.Uint64
@@ -47,8 +46,19 @@ func (c *Conn) WriteFrame(f *Frame) error {
 		return err
 	}
 	c.wbuf = buf[:0]
-	if _, err := c.rw.Write(buf); err != nil {
-		return fmt.Errorf("wire: write frame type %d: %w", f.Type, err)
+	return c.write(buf)
+}
+
+// WriteRaw writes one already encoded frame. Safe for concurrent use.
+func (c *Conn) WriteRaw(r Raw) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.write(r)
+}
+
+func (c *Conn) write(frame []byte) error {
+	if _, err := c.rw.Write(frame); err != nil {
+		return fmt.Errorf("wire: write frame type %d: %w", frame[4], err)
 	}
 	c.framesOut.Add(1)
 	return nil
@@ -57,28 +67,39 @@ func (c *Conn) WriteFrame(f *Frame) error {
 // ReadFrame reads and decodes the next frame into f. Only one goroutine may
 // read. io.EOF is returned unwrapped on a clean end of stream.
 func (c *Conn) ReadFrame(f *Frame) error {
-	if _, err := io.ReadFull(c.rw, c.rhdr[:]); err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
-		return fmt.Errorf("wire: read frame header: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(c.rhdr[:])
-	if n == 0 || n > MaxFrameBytes {
-		return fmt.Errorf("wire: frame body of %d bytes out of range (max %d)", n, MaxFrameBytes)
-	}
-	if cap(c.rbuf) < int(n) {
-		c.rbuf = make([]byte, n)
-	}
-	body := c.rbuf[:n]
-	if _, err := io.ReadFull(c.rw, body); err != nil {
-		return fmt.Errorf("wire: read frame body: %w", err)
-	}
-	if err := DecodeFrame(body, f); err != nil {
+	raw, err := c.ReadRaw(c.rbuf)
+	if err != nil {
 		return err
 	}
+	c.rbuf = raw
+	return DecodeFrame(raw.Body(), f)
+}
+
+// ReadRaw reads the next frame without decoding it and returns the whole
+// frame, length prefix included. The frame lands in buf's memory when it
+// fits: pass nil for a frame the caller keeps, or the previous frame to
+// reuse it. Only one goroutine may read. io.EOF is returned unwrapped on a
+// clean end of stream; every other error is the stream's, never the
+// body's, which only DecodeFrame inspects.
+func (c *Conn) ReadRaw(buf Raw) (Raw, error) {
+	dst := append(buf[:0], 0, 0, 0, 0)
+	hdr := dst[:4]
+	if _, err := io.ReadFull(c.rw, hdr); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("wire: read frame header: %w", err)
+	}
+	n := binary.LittleEndian.Uint32(hdr)
+	if n == 0 || n > MaxFrameBytes {
+		return nil, fmt.Errorf("wire: frame body of %d bytes out of range (max %d)", n, MaxFrameBytes)
+	}
+	dst = append(dst, make([]byte, n)...)
+	if _, err := io.ReadFull(c.rw, dst[4:]); err != nil {
+		return nil, fmt.Errorf("wire: read frame body: %w", err)
+	}
 	c.framesIn.Add(1)
-	return nil
+	return dst, nil
 }
 
 // Close tears the underlying stream down. Idempotent: concurrent teardown
@@ -91,7 +112,7 @@ func (c *Conn) Close() error {
 // FramesOut reports frames successfully written.
 func (c *Conn) FramesOut() uint64 { return c.framesOut.Load() }
 
-// FramesIn reports frames successfully read and decoded.
+// FramesIn reports frames successfully read.
 func (c *Conn) FramesIn() uint64 { return c.framesIn.Load() }
 
 // WindowSink is the remote monitor sink flavor: each window the worker's

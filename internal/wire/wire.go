@@ -5,21 +5,25 @@
 // merge. The codec follows the trace codec's discipline — manual
 // little-endian encoding into a caller-supplied buffer, fixed scratch
 // bounds-checked decoding — so the per-message encode path allocates
-// nothing for the scalar payloads the workloads actually send.
+// nothing for scalar payloads, nor for struct payloads whose registered
+// binary codec (Register) appends without allocating, as the MJPEG
+// decoder's block and pixel groups do.
 //
 // Frame layout: a uint32 little-endian body length, then the body; the
-// body's first byte is the frame type. Bodies longer than MaxFrameBytes are
-// rejected on both ends, so a corrupt length prefix cannot make a reader
-// allocate unbounded memory.
+// body's first byte is the frame type, and a data or edge-close body
+// continues with its uint32 edge. That fixed routing header lets a relay
+// forward data frames as Raw bytes, leaving the payload to be decoded once,
+// by the receiver. Bodies longer than MaxFrameBytes are rejected on both
+// ends, so a corrupt length prefix cannot make a reader allocate unbounded
+// memory.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 
 	"embera/internal/core"
 	"embera/internal/monitor"
@@ -44,10 +48,9 @@ const (
 // prefix fails fast instead of exhausting memory.
 const MaxFrameBytes = 64 << 20
 
-// Payload kinds for TypeData. The scalar kinds cover every payload the
-// bundled workloads send on their hot paths and encode without allocating;
-// kindGob is the fallback for struct payloads (register concrete types with
-// encoding/gob in the package that defines them).
+// Payload kinds for TypeData. The scalar kinds encode without allocating;
+// kindCodec carries any other payload through the codec registered for its
+// type, as the codec's name followed by the codec's length-prefixed bytes.
 const (
 	kindNil = byte(iota)
 	kindBool
@@ -57,7 +60,7 @@ const (
 	kindFloat64
 	kindString
 	kindBytes
-	kindGob
+	kindCodec
 )
 
 // Frame is the decoded form of every frame type: a tagged union keyed on
@@ -86,10 +89,31 @@ type Frame struct {
 	Name string
 }
 
+// Raw is one encoded frame, length prefix included: the bytes AppendFrame
+// appends and Conn.ReadRaw returns. A relay routes it on Type and Edge and
+// writes it on unchanged, without decoding its payload.
+type Raw []byte
+
+// Type returns the frame type.
+func (r Raw) Type() byte { return r[4] }
+
+// Edge returns the edge of a data or edge-close frame; ok is false for any
+// other type and for a body too short to hold the edge.
+func (r Raw) Edge() (edge uint32, ok bool) {
+	if t := r.Type(); (t != TypeData && t != TypeEdgeClose) || len(r) < 9 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(r[5:]), true
+}
+
+// Body returns the frame body, the input DecodeFrame takes.
+func (r Raw) Body() []byte { return r[4:] }
+
 // AppendFrame encodes f, appending the length-prefixed frame to buf and
-// returning the extended slice. For TypeData with a scalar payload the
-// encode allocates nothing beyond buf growth — the same zero-alloc budget
-// as the trace codec's event encode.
+// returning the extended slice. For TypeData with a scalar payload, or a
+// payload whose codec appends without allocating, the encode allocates
+// nothing beyond buf growth — the same zero-alloc budget as the trace
+// codec's event encode.
 func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length back-patched below
@@ -230,20 +254,22 @@ func appendPayload(buf []byte, p any) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
 		return append(buf, v...), nil
 	default:
-		// Struct payloads take the gob fallback; concrete types must be
-		// gob-registered by their defining package so both processes agree.
-		var gb bytes.Buffer
-		if err := gob.NewEncoder(&gb).Encode(&payloadBox{V: p}); err != nil {
-			return nil, fmt.Errorf("wire: gob payload %T: %w", p, err)
+		c := codecFor(reflect.TypeOf(p))
+		if c == nil {
+			return nil, fmt.Errorf("wire: no codec registered for payload type %T", p)
 		}
-		buf = append(buf, kindGob)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(gb.Len()))
-		return append(buf, gb.Bytes()...), nil
+		buf = append(buf, kindCodec)
+		buf = appendString(buf, c.name)
+		at := len(buf)
+		buf = append(buf, 0, 0, 0, 0) // length back-patched below
+		buf, err := c.append(buf, p)
+		if err != nil {
+			return nil, fmt.Errorf("wire: payload %s: %w", c.name, err)
+		}
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+		return buf, nil
 	}
 }
-
-// payloadBox wraps a gob payload so interface-typed values round-trip.
-type payloadBox struct{ V any }
 
 // windowMinBytes is the smallest possible encoded WindowStats (empty
 // component name), used to sanity-check batch counts before allocating.
@@ -357,17 +383,23 @@ func (d *decoder) payload() any {
 			return nil
 		}
 		return append([]byte(nil), b...)
-	case kindGob:
-		gb := d.bytes()
+	case kindCodec:
+		name := d.bytes()
+		b := d.bytes()
 		if d.err != nil {
 			return nil
 		}
-		var box payloadBox
-		if err := gob.NewDecoder(bytes.NewReader(gb)).Decode(&box); err != nil {
-			d.err = fmt.Errorf("wire: gob payload: %w", err)
+		c := codecNamed(name)
+		if c == nil {
+			d.err = fmt.Errorf("wire: no codec registered for payload type %q", name)
 			return nil
 		}
-		return box.V
+		v, err := c.decode(b)
+		if err != nil {
+			d.err = fmt.Errorf("wire: payload %s: %w", c.name, err)
+			return nil
+		}
+		return v
 	default:
 		if d.err == nil {
 			d.err = fmt.Errorf("wire: unknown payload kind %d", kind)

@@ -1,9 +1,9 @@
-package wire
+package wire_test
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"io"
 	"math/rand"
 	"reflect"
@@ -11,49 +11,87 @@ import (
 	"testing"
 
 	"embera/internal/core"
+	"embera/internal/mjpeg"
+	"embera/internal/mjpegapp" // also registers the group codecs
 	"embera/internal/monitor"
+	"embera/internal/wire"
 )
 
-// gobUnit stands in for the struct payloads real workloads push through the
-// kindGob fallback (block groups, pixel groups).
-type gobUnit struct {
-	ID   int
+// unit stands in for any struct payload a workload sends through a
+// registered codec; the MJPEG groups are the real ones.
+type unit struct {
+	ID   int64
 	Tag  string
 	Vals []int64
 }
 
-func init() { gob.Register(gobUnit{}) }
+func init() { wire.Register("wire_test.unit", appendUnit, decodeUnit) }
+
+func appendUnit(buf []byte, u unit) ([]byte, error) {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(u.ID))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(u.Tag)))
+	buf = append(buf, u.Tag...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(u.Vals)))
+	for _, v := range u.Vals {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	}
+	return buf, nil
+}
+
+func decodeUnit(b []byte) (unit, error) {
+	var u unit
+	if len(b) < 12 {
+		return u, errors.New("short unit")
+	}
+	u.ID = int64(binary.LittleEndian.Uint64(b))
+	n := binary.LittleEndian.Uint32(b[8:])
+	b = b[12:]
+	if uint64(n)+4 > uint64(len(b)) {
+		return u, errors.New("short unit tag")
+	}
+	u.Tag, b = string(b[:n]), b[n:]
+	n = binary.LittleEndian.Uint32(b)
+	b = b[4:]
+	if uint64(n)*8 != uint64(len(b)) {
+		return u, errors.New("unit values do not fill the payload")
+	}
+	u.Vals = make([]int64, n)
+	for i := range u.Vals {
+		u.Vals[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return u, nil
+}
 
 // randFrame builds a random frame of a random type, populating exactly the
 // fields DecodeFrame would, so a round-tripped frame must be DeepEqual.
-func randFrame(rng *rand.Rand) Frame {
+func randFrame(rng *rand.Rand) wire.Frame {
 	types := []byte{
-		TypeHello, TypeData, TypeEdgeClose, TypeWindows, TypeReports,
-		TypeShardDone, TypeTerminate, TypeCompKill, TypeBye, TypeError,
+		wire.TypeHello, wire.TypeData, wire.TypeEdgeClose, wire.TypeWindows, wire.TypeReports,
+		wire.TypeShardDone, wire.TypeTerminate, wire.TypeCompKill, wire.TypeBye, wire.TypeError,
 	}
-	f := Frame{Type: types[rng.Intn(len(types))]}
+	f := wire.Frame{Type: types[rng.Intn(len(types))]}
 	switch f.Type {
-	case TypeHello, TypeShardDone:
+	case wire.TypeHello, wire.TypeShardDone:
 		f.Shard = rng.Uint32()
-	case TypeData:
+	case wire.TypeData:
 		f.Edge = rng.Uint32()
 		f.Bytes = rng.Int63()
 		f.From = randString(rng, rng.Intn(24))
 		f.Payload = randPayload(rng)
-	case TypeEdgeClose:
+	case wire.TypeEdgeClose:
 		f.Edge = rng.Uint32()
-	case TypeWindows:
+	case wire.TypeWindows:
 		n := 1 + rng.Intn(3)
 		for i := 0; i < n; i++ {
 			f.Windows = append(f.Windows, randWindow(rng))
 		}
 		f.Shard = rng.Uint32()
-	case TypeReports:
+	case wire.TypeReports:
 		f.Shard = rng.Uint32()
 		f.Units = rng.Int63()
 		f.Checksum = rng.Uint64()
 		f.Reports = randReports(rng)
-	case TypeCompKill, TypeError:
+	case wire.TypeCompKill, wire.TypeError:
 		f.Name = randString(rng, 1+rng.Intn(32))
 	}
 	return f
@@ -97,8 +135,8 @@ func randPayload(rng *rand.Rand) any {
 		rng.Read(b)
 		return b
 	default:
-		return gobUnit{
-			ID:   rng.Int(),
+		return unit{
+			ID:   rng.Int63(),
 			Tag:  randString(rng, 1+rng.Intn(8)),
 			Vals: []int64{rng.Int63(), rng.Int63()},
 		}
@@ -159,12 +197,12 @@ func randReports(rng *rand.Rand) map[string]core.ObsReport {
 func TestFrameRoundTripFuzzed(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const frames = 500
-	var want []Frame
+	var want []wire.Frame
 	var buf []byte
 	for i := 0; i < frames; i++ {
 		f := randFrame(rng)
 		var err error
-		buf, err = AppendFrame(buf, &f)
+		buf, err = wire.AppendFrame(buf, &f)
 		if err != nil {
 			t.Fatalf("frame %d (%+v): %v", i, f, err)
 		}
@@ -178,8 +216,8 @@ func TestFrameRoundTripFuzzed(t *testing.T) {
 		if int(n) > len(buf)-4 {
 			t.Fatalf("frame %d: length prefix %d overruns buffer", i, n)
 		}
-		var got Frame
-		if err := DecodeFrame(buf[4:4+n], &got); err != nil {
+		var got wire.Frame
+		if err := wire.DecodeFrame(buf[4:4+n], &got); err != nil {
 			t.Fatalf("frame %d: decode: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, w) {
@@ -197,38 +235,41 @@ func TestFrameRoundTripFuzzed(t *testing.T) {
 // partial frame and never a panic. One trailing byte must also be rejected.
 func TestTruncatedFrameRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	samples := []Frame{
-		{Type: TypeHello, Shard: 3},
-		{Type: TypeData, Edge: 9, Bytes: 640, From: "Source.out", Payload: uint64(42)},
-		{Type: TypeData, Edge: 1, Payload: gobUnit{ID: 5, Tag: "g", Vals: []int64{1}}},
-		{Type: TypeEdgeClose, Edge: 2},
-		{Type: TypeWindows, Shard: 1, Windows: []monitor.WindowStats{randWindow(rng)}},
-		{Type: TypeReports, Shard: 0, Units: 7, Checksum: 0xdead, Reports: randReports(rng)},
-		{Type: TypeShardDone, Shard: 1},
-		{Type: TypeTerminate},
-		{Type: TypeCompKill, Name: "S1W1"},
-		{Type: TypeBye},
-		{Type: TypeError, Name: "worker 1: boom"},
+	bg, pg := refGroups(t)
+	samples := []wire.Frame{
+		{Type: wire.TypeHello, Shard: 3},
+		{Type: wire.TypeData, Edge: 9, Bytes: 640, From: "Source.out", Payload: uint64(42)},
+		{Type: wire.TypeData, Edge: 1, Payload: unit{ID: 5, Tag: "g", Vals: []int64{1}}},
+		{Type: wire.TypeData, Edge: 2, From: "Fetch", Payload: bg},
+		{Type: wire.TypeData, Edge: 3, From: "IDCT_1", Payload: pg},
+		{Type: wire.TypeEdgeClose, Edge: 2},
+		{Type: wire.TypeWindows, Shard: 1, Windows: []monitor.WindowStats{randWindow(rng)}},
+		{Type: wire.TypeReports, Shard: 0, Units: 7, Checksum: 0xdead, Reports: randReports(rng)},
+		{Type: wire.TypeShardDone, Shard: 1},
+		{Type: wire.TypeTerminate},
+		{Type: wire.TypeCompKill, Name: "S1W1"},
+		{Type: wire.TypeBye},
+		{Type: wire.TypeError, Name: "worker 1: boom"},
 	}
 	for _, f := range samples {
-		enc, err := AppendFrame(nil, &f)
+		enc, err := wire.AppendFrame(nil, &f)
 		if err != nil {
 			t.Fatalf("type %d: %v", f.Type, err)
 		}
 		body := enc[4:]
-		var got Frame
+		var got wire.Frame
 		for cut := 0; cut < len(body); cut++ {
-			if err := DecodeFrame(body[:cut], &got); err == nil {
+			if err := wire.DecodeFrame(body[:cut], &got); err == nil {
 				t.Fatalf("type %d: prefix of %d/%d bytes decoded cleanly", f.Type, cut, len(body))
 			}
 		}
 		withTrailing := append(append([]byte(nil), body...), 0x5a)
-		if err := DecodeFrame(withTrailing, &got); err == nil {
+		if err := wire.DecodeFrame(withTrailing, &got); err == nil {
 			t.Fatalf("type %d: trailing garbage decoded cleanly", f.Type)
 		} else if !strings.Contains(err.Error(), "trailing") {
 			t.Fatalf("type %d: trailing garbage error does not say so: %v", f.Type, err)
 		}
-		if err := DecodeFrame(body, &got); err != nil {
+		if err := wire.DecodeFrame(body, &got); err != nil {
 			t.Fatalf("type %d: the untruncated body must still decode: %v", f.Type, err)
 		}
 	}
@@ -238,26 +279,43 @@ func TestTruncatedFrameRejected(t *testing.T) {
 // and decoder both refuse frame types outside the protocol, and a data
 // frame with an unknown payload kind is an error, not a nil payload.
 func TestUnknownTypeAndKindRejected(t *testing.T) {
-	for _, typ := range []byte{0, TypeError + 1, 200} {
-		if _, err := AppendFrame(nil, &Frame{Type: typ}); err == nil {
+	for _, typ := range []byte{0, wire.TypeError + 1, 200} {
+		if _, err := wire.AppendFrame(nil, &wire.Frame{Type: typ}); err == nil {
 			t.Errorf("AppendFrame accepted unknown type %d", typ)
 		}
-		var f Frame
-		if err := DecodeFrame([]byte{typ}, &f); err == nil {
+		var f wire.Frame
+		if err := wire.DecodeFrame([]byte{typ}, &f); err == nil {
 			t.Errorf("DecodeFrame accepted unknown type %d", typ)
 		}
 	}
 	// A hand-built data frame body with payload kind 250.
-	body := []byte{TypeData}
+	body := []byte{wire.TypeData}
 	body = binary.LittleEndian.AppendUint32(body, 1)  // edge
 	body = binary.LittleEndian.AppendUint64(body, 64) // bytes
 	body = binary.LittleEndian.AppendUint32(body, 0)  // empty From
 	body = append(body, 250)
-	var f Frame
-	if err := DecodeFrame(body, &f); err == nil {
+	var f wire.Frame
+	if err := wire.DecodeFrame(body, &f); err == nil {
 		t.Error("unknown payload kind decoded cleanly")
 	} else if !strings.Contains(err.Error(), "payload kind") {
 		t.Errorf("unknown-kind error does not name the kind: %v", err)
+	}
+
+	// A struct payload crosses only through a codec registered for its
+	// type: encoding one without fails naming the type, and so does
+	// decoding a payload under a codec name this process never registered.
+	type stray struct{ N int }
+	if _, err := wire.AppendFrame(nil, &wire.Frame{Type: wire.TypeData, Payload: stray{1}}); err == nil ||
+		!strings.Contains(err.Error(), "wire_test.stray") {
+		t.Errorf("unregistered struct payload: error %v does not name its type", err)
+	}
+	enc, err := wire.AppendFrame(nil, &wire.Frame{Type: wire.TypeData, Payload: unit{ID: 1, Tag: "u"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = bytes.Replace(enc[4:], []byte("wire_test.unit"), []byte("wire_test.tinu"), 1)
+	if err := wire.DecodeFrame(body, &f); err == nil || !strings.Contains(err.Error(), "wire_test.tinu") {
+		t.Errorf("unregistered codec name: error %v does not name it", err)
 	}
 }
 
@@ -265,17 +323,17 @@ func TestUnknownTypeAndKindRejected(t *testing.T) {
 // than MaxFrameBytes, and a window batch count that cannot fit its body is
 // rejected before the decoder allocates for it.
 func TestOversizedFrameRejected(t *testing.T) {
-	big := strings.Repeat("x", MaxFrameBytes) // body = 1 type + 4 len + this
-	buf := make([]byte, 0, MaxFrameBytes+64)
-	if _, err := AppendFrame(buf, &Frame{Type: TypeError, Name: big}); err == nil {
+	big := strings.Repeat("x", wire.MaxFrameBytes) // body = 1 type + 4 len + this
+	buf := make([]byte, 0, wire.MaxFrameBytes+64)
+	if _, err := wire.AppendFrame(buf, &wire.Frame{Type: wire.TypeError, Name: big}); err == nil {
 		t.Error("AppendFrame emitted a frame beyond MaxFrameBytes")
 	}
 
-	body := []byte{TypeWindows}
+	body := []byte{wire.TypeWindows}
 	body = binary.LittleEndian.AppendUint32(body, 0)     // shard
 	body = binary.LittleEndian.AppendUint32(body, 1<<30) // claimed windows
-	var f Frame
-	if err := DecodeFrame(body, &f); err == nil {
+	var f wire.Frame
+	if err := wire.DecodeFrame(body, &f); err == nil {
 		t.Error("absurd window batch count decoded cleanly")
 	} else if !strings.Contains(err.Error(), "cannot fit") {
 		t.Errorf("window batch error does not explain the bound: %v", err)
@@ -294,8 +352,8 @@ func (b *bufConn) Close() error { return nil }
 // before any body allocation.
 func TestConnRoundTripAndEOF(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	c := NewConn(&bufConn{})
-	var want []Frame
+	c := wire.NewConn(&bufConn{})
+	var want []wire.Frame
 	for i := 0; i < 64; i++ {
 		f := randFrame(rng)
 		if err := c.WriteFrame(&f); err != nil {
@@ -307,7 +365,7 @@ func TestConnRoundTripAndEOF(t *testing.T) {
 		t.Errorf("FramesOut = %d, want 64", n)
 	}
 	for i, w := range want {
-		var got Frame
+		var got wire.Frame
 		if err := c.ReadFrame(&got); err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -318,16 +376,16 @@ func TestConnRoundTripAndEOF(t *testing.T) {
 	if n := c.FramesIn(); n != 64 {
 		t.Errorf("FramesIn = %d, want 64", n)
 	}
-	var f Frame
+	var f wire.Frame
 	if err := c.ReadFrame(&f); err != io.EOF {
 		t.Errorf("read past end = %v, want io.EOF", err)
 	}
 
-	for _, n := range []uint32{0, MaxFrameBytes + 1} {
+	for _, n := range []uint32{0, wire.MaxFrameBytes + 1} {
 		var raw bufConn
 		hdr := binary.LittleEndian.AppendUint32(nil, n)
 		raw.Write(hdr)
-		if err := NewConn(&raw).ReadFrame(&f); err == nil {
+		if err := wire.NewConn(&raw).ReadFrame(&f); err == nil {
 			t.Errorf("length prefix %d accepted", n)
 		} else if !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("length prefix %d: error does not say out of range: %v", n, err)
@@ -336,15 +394,21 @@ func TestConnRoundTripAndEOF(t *testing.T) {
 }
 
 // TestEncodeDataFrameAllocs pins the hot path: a data frame with a scalar
-// payload must encode into a pre-grown buffer without allocating — the same
-// budget the trace codec's event encode holds.
+// payload, or one of the decoder's 32-block groups, must encode into a warm
+// buffer without allocating — the same budget the trace codec's event
+// encode holds.
 func TestEncodeDataFrameAllocs(t *testing.T) {
-	payloads := []any{nil, true, int(-17), int64(1 << 40), uint64(42), float64(2.75), "unit-99"}
-	buf := make([]byte, 0, 256)
+	bg, pg := refGroups(t)
+	payloads := []any{nil, true, int(-17), int64(1 << 40), uint64(42), float64(2.75), "unit-99", bg, pg}
+	var buf []byte
 	for _, p := range payloads {
-		f := Frame{Type: TypeData, Edge: 3, Bytes: 128, From: "Source.out", Payload: p}
+		f := wire.Frame{Type: wire.TypeData, Edge: 3, Bytes: 128, From: "Source.out", Payload: p}
+		var err error
+		if buf, err = wire.AppendFrame(buf[:0], &f); err != nil {
+			t.Fatalf("payload %T: %v", p, err)
+		}
 		allocs := testing.AllocsPerRun(200, func() {
-			b, err := AppendFrame(buf[:0], &f)
+			b, err := wire.AppendFrame(buf[:0], &f)
 			if err != nil || len(b) == 0 {
 				t.Fatal("encode failed")
 			}
@@ -353,4 +417,31 @@ func TestEncodeDataFrameAllocs(t *testing.T) {
 			t.Errorf("payload %T: %.1f allocs per encode, want 0", p, allocs)
 		}
 	}
+}
+
+// refGroups returns a BlockGroup of the reference picture and the
+// PixelGroup its IDCT produces: 576 blocks split the decoder's 18 ways, 32
+// blocks a group.
+func refGroups(t testing.TB) (mjpeg.BlockGroup, mjpeg.PixelGroup) {
+	t.Helper()
+	pic, err := mjpeg.SynthStream(mjpegapp.RefW, mjpegapp.RefH, 1, mjpeg.EncodeOptions{Quality: mjpegapp.RefQuality})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := mjpeg.ParseFrame(pic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := h.DecodeBlocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, err := mjpeg.SplitBlocks(0, h, blocks, 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(groups[1].Blocks); n != 32 {
+		t.Fatalf("reference group holds %d blocks, want 32", n)
+	}
+	return groups[1], mjpeg.TransformGroup(&groups[1])
 }
