@@ -55,8 +55,8 @@ func settleGoroutines(t *testing.T, when string, before int) {
 // the same workload and follows each through both callers of the run
 // lifecycle. Run returns the named error. A served run of the workload
 // records it, parks after three consecutive failures and relaunches on
-// Start. On the wall-clock platform no goroutine outlives the failed Run
-// or the closed assembly.
+// Start. On either platform no goroutine outlives the failed Run or the
+// closed assembly.
 func TestLifecycleFailurePaths(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -75,9 +75,7 @@ func TestLifecycleFailurePaths(t *testing.T) {
 				if r, err := Run(p, w, opts); !errors.Is(err, errInjected) || r != nil {
 					t.Fatalf("Run = %v, %v; want nil, %v", r, err, errInjected)
 				}
-				if !p.Deterministic() {
-					settleGoroutines(t, "after Run", before)
-				}
+				settleGoroutines(t, "after Run", before)
 
 				sr, err := RunServed(p, w, ServedOptions{Options: opts, Pace: time.Millisecond})
 				if err != nil {
@@ -105,9 +103,7 @@ func TestLifecycleFailurePaths(t *testing.T) {
 					}
 				}
 				sr.Close()
-				if !p.Deterministic() {
-					settleGoroutines(t, "after Close", before)
-				}
+				settleGoroutines(t, "after Close", before)
 			})
 		}
 	}

@@ -284,8 +284,18 @@ func (sr *ServedRun) runGeneration() error {
 			sr.mu.Lock()
 			sr.machine, sr.app, sr.mon = c.m, c.a, c.mon
 			sr.running = true
+			// A Stop that landed after this generation launched but before
+			// it was published saw nothing running to stop: stop it now,
+			// the way Stop stops a running one.
+			stopped := sr.stopReq
+			if stopped {
+				sr.ops = append(sr.ops, &controlOp{apply: terminateAll, done: make(chan error, 1)})
+			}
 			sr.mu.Unlock()
 			published = true
+			if stopped {
+				platform.Interrupt(c.m)
+			}
 		},
 		beforeStart: func(c *cell) {
 			c.a.SpawnDriver("serve/control", func(f core.Flow) { sr.controlLoop(c.a, f) })

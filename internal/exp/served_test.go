@@ -11,10 +11,16 @@ import (
 	"embera/internal/platform"
 )
 
-// waitFor polls cond until it holds or the deadline passes.
+// waitFor polls cond until it holds or ten seconds pass.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	waitWithin(t, 10*time.Second, what, cond)
+}
+
+// waitWithin polls cond until it holds or d passes.
+func waitWithin(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
 		if cond() {
 			return
@@ -277,4 +283,45 @@ func TestServedTerminateComponent(t *testing.T) {
 	}
 	// With the producer dead the generation drains and the loop relaunches.
 	waitFor(t, "next generation after termination", func() bool { return sr.Generations() > gen })
+}
+
+// TestServedStopDuringLaunch stops the assembly while its second
+// generation is launching: Stop runs from the generation's OnMonitor hook,
+// after the launch counted it and before it was published as running. The
+// stop must still reach that generation, which would otherwise pace
+// through 100,000 messages, about 100 s, before Running turns false.
+func TestServedStopDuringLaunch(t *testing.T) {
+	p := platform.MustGet("native")
+	tw := &toyWorkload{msgs: 100_000}
+	var srp atomic.Pointer[ServedRun]
+	var launches atomic.Int64
+	sr, err := RunServed(p, tw, ServedOptions{
+		Options: Options{
+			Monitor: &monitor.Config{},
+			OnMonitor: func(*monitor.Monitor) {
+				if launches.Add(1) == 2 {
+					srp.Load().Stop()
+				}
+			},
+		},
+		Pace: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srp.Store(sr)
+	defer sr.Close()
+
+	waitFor(t, "first generation to run", func() bool { return sr.Stats().Running })
+	if err := sr.Terminate("P"); err != nil {
+		t.Fatalf("terminate failed: %v", err)
+	}
+	waitFor(t, "second generation to launch", func() bool { return launches.Load() >= 2 })
+	waitWithin(t, 5*time.Second, "the launching generation to stop", func() bool {
+		s := sr.Stats()
+		return s.Stopped && !s.Running
+	})
+	if g := sr.Generations(); g != 2 {
+		t.Fatalf("generations = %d after a stop during the second launch, want 2", g)
+	}
 }

@@ -430,7 +430,8 @@ func governPeriodUS(ewmaNs, baseUS int64, budgetPct float64) int64 {
 
 // pumpLoop drains the ring every window, folds the samples into the
 // aggregator and streams the closed windows to the sinks. It exits after
-// the final drain: application quiesced, every sampler gone, ring empty.
+// the final drain: application quiesced, every sampler gone, ring empty,
+// so the ring's buffers go back for the next monitor.
 func (m *Monitor) pumpLoop(f core.Flow) {
 	if m.wallClock {
 		m.pumpLoopWall()
@@ -446,6 +447,7 @@ func (m *Monitor) pumpLoop(f core.Flow) {
 			// gone now, so one more sweep is enough to guarantee every
 			// accepted sample reaches a window.
 			m.drainAndFlush(m.nowUS())
+			m.ring.release()
 			return
 		}
 	}
@@ -479,6 +481,7 @@ func (m *Monitor) pumpLoopWall() {
 			// this wait is microseconds, not a period.
 			<-m.samplersDone
 			m.drainAndFlush(m.nowUS())
+			m.ring.release()
 			return
 		}
 	}

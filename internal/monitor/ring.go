@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -22,8 +23,9 @@ import (
 // Concurrent producers on the same shard — or concurrent drains — are a
 // data race, exactly like two goroutines sharing an SPSC queue end.
 type Ring struct {
-	shards []spscShard
-	sole   Writer // prebuilt all-shard writer backing PushBatch
+	shards   []spscShard
+	sole     Writer // prebuilt all-shard writer backing PushBatch
+	capacity int
 }
 
 // spscShard is one single-producer/single-consumer segment of the ring.
@@ -54,7 +56,7 @@ func NewRing(capacity, shards int) *Ring {
 	if shards > capacity {
 		shards = capacity
 	}
-	r := &Ring{shards: make([]spscShard, shards)}
+	r := &Ring{shards: make([]spscShard, shards), capacity: capacity}
 	per := capacity / shards
 	extra := capacity % shards
 	for i := range r.shards {
@@ -62,13 +64,41 @@ func NewRing(capacity, shards int) *Ring {
 		if i < extra {
 			c++
 		}
-		r.shards[i].buf = make([]Sample, c)
+		r.shards[i].buf = newShardBuf(c)
 	}
 	r.sole = Writer{ring: r, shards: make([]int, shards)}
 	for i := range r.sole.shards {
 		r.sole.shards[i] = i
 	}
 	return r
+}
+
+// shardBufs recycles shard buffers between rings. A monitor's ring lives
+// for one run, and on a short simulated run allocating a fresh
+// default-capacity buffer, and faulting its pages in, would be the largest
+// fixed cost of leaving the monitor on. A pooled buffer is all zero:
+// release takes it only from an empty ring, whose drains have cleared
+// every slot they read.
+var shardBufs sync.Pool
+
+// newShardBuf returns a zeroed shard buffer of n samples.
+func newShardBuf(n int) []Sample {
+	if p, ok := shardBufs.Get().(*[]Sample); ok && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]Sample, n)
+}
+
+// release hands the shard buffers to the next ring. Call it once the ring
+// is empty and no producer or consumer will touch it again; afterwards a
+// push counts as dropped and Capacity still reports the configured size.
+func (r *Ring) release() {
+	for i := range r.shards {
+		if buf := r.shards[i].buf; buf != nil {
+			r.shards[i].buf = nil
+			shardBufs.Put(&buf)
+		}
+	}
 }
 
 // push is the single-producer push: one acquire (head), one release (tail).
@@ -228,13 +258,7 @@ func (r *Ring) Len() int {
 }
 
 // Capacity reports the total sample capacity across shards.
-func (r *Ring) Capacity() int {
-	n := 0
-	for i := range r.shards {
-		n += len(r.shards[i].buf)
-	}
-	return n
-}
+func (r *Ring) Capacity() int { return r.capacity }
 
 // Shards reports the shard count.
 func (r *Ring) Shards() int { return len(r.shards) }

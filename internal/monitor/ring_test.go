@@ -139,3 +139,58 @@ func TestRingConcurrent(t *testing.T) {
 		t.Fatalf("dropped+accepted = %d, want %d", got, producers*perProd)
 	}
 }
+
+// TestRingReleaseRecyclesZeroedBuffers: a monitor releases its ring after
+// the final drain. The released ring stays safe to query and push into
+// (a push counts as dropped), and a ring built afterwards, which may reuse
+// the released buffers, starts with every slot zero.
+func TestRingReleaseRecyclesZeroedBuffers(t *testing.T) {
+	r := NewRing(8, 2)
+	for i := 0; i < 6; i++ {
+		r.Push(i, sample("c", int64(i+1)))
+	}
+	if got := len(r.DrainInto(nil)); got != 6 {
+		t.Fatalf("drained %d samples, want 6", got)
+	}
+	r.release()
+	if r.Capacity() != 8 || r.Len() != 0 {
+		t.Fatalf("released ring: capacity %d, len %d; want 8, 0", r.Capacity(), r.Len())
+	}
+	if r.Push(0, Sample{TimeUS: 9}) || r.Dropped() != 1 {
+		t.Fatalf("push into a released ring: dropped = %d, want the push counted as 1 drop", r.Dropped())
+	}
+	assertZeroRing(t, NewRing(8, 2))
+
+	// Monitors of concurrent runs trade buffers through the pool: every
+	// ring still starts zeroed.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				r := NewRing(8, 2)
+				assertZeroRing(t, r)
+				for k := 0; k < 8; k++ {
+					r.Push(k, sample("c", int64(k+1)))
+				}
+				r.DrainInto(nil)
+				r.release()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// assertZeroRing fails unless every slot of every shard of r is zero.
+func assertZeroRing(t *testing.T, r *Ring) {
+	t.Helper()
+	for i := range r.shards {
+		for j, s := range r.shards[i].buf {
+			if s != (Sample{}) {
+				t.Errorf("new ring shard %d slot %d = %+v, want zero", i, j, s)
+				return
+			}
+		}
+	}
+}

@@ -39,11 +39,22 @@ type CounterAttacher interface {
 	AttachCounters(c LossCounters)
 }
 
+// memChunk is the MemorySink's full chunk size in windows (~300 KB of
+// WindowStats).
+const memChunk = 256
+
 // MemorySink retains every window in memory, for tests and for end-of-run
-// reporting (MergeWindows over Windows()).
+// reporting (MergeWindows over Windows()). Windows land in chunks whose
+// capacities double from one window up to memChunk, after which every
+// chunk is allocated at full size. A long run therefore never re-grows one
+// slice, and no stored window is copied again until Windows; a short run
+// allocates about half of what appending to one slice would.
 type MemorySink struct {
-	mu      sync.Mutex
-	windows []WindowStats
+	mu     sync.Mutex
+	chunks [][]WindowStats // oldest first; only the last has room
+	// inline backs chunks through the eight growing chunks (255 windows),
+	// so a short run allocates no chunk index of its own.
+	inline [8][]WindowStats
 }
 
 // NewMemorySink creates an empty in-memory sink.
@@ -53,7 +64,18 @@ func NewMemorySink() *MemorySink { return &MemorySink{} }
 func (s *MemorySink) WriteWindow(w WindowStats) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.windows = append(s.windows, w)
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
+		size := 1
+		if last < 0 {
+			s.chunks = s.inline[:0]
+		} else if size = 2 * cap(s.chunks[last]); size > memChunk {
+			size = memChunk
+		}
+		s.chunks = append(s.chunks, make([]WindowStats, 0, size))
+		last++
+	}
+	s.chunks[last] = append(s.chunks[last], w)
 	return nil
 }
 
@@ -61,7 +83,18 @@ func (s *MemorySink) WriteWindow(w WindowStats) error {
 func (s *MemorySink) Windows() []WindowStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]WindowStats(nil), s.windows...)
+	n := 0
+	for _, c := range s.chunks {
+		n += len(c)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]WindowStats, 0, n)
+	for _, c := range s.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // WindowRecord is the flat export schema of one component's window: the

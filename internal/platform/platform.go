@@ -114,11 +114,20 @@ type Platform interface {
 // simulated platforms return it from New.
 type SimMachine struct{ K *sim.Kernel }
 
-// Run implements Machine via Kernel.RunUntil, reporting an unfinished run
-// exactly as the kernel does (a *sim.DeadlockError when flows are parked
-// with no pending events).
+// Run implements Machine via Kernel.RunUntil. A deadlock comes back as the
+// kernel's *sim.DeadlockError, and a horizon that cuts components short is
+// an error naming them. Either way the run is over once RunUntil returns:
+// Kernel.Shutdown then unwinds every process still live, observation
+// daemons included, so no goroutine outlives the run.
 func (m SimMachine) Run(horizonUS int64) error {
-	return m.K.RunUntil(sim.Time(sim.Duration(horizonUS) * sim.Microsecond))
+	limit := sim.Time(sim.Duration(horizonUS) * sim.Microsecond)
+	err := m.K.RunUntil(limit)
+	if left := m.K.Unfinished(); err == nil && len(left) > 0 {
+		err = fmt.Errorf("sim: run reached its %v horizon with %d process(es) still live: %v",
+			sim.Duration(limit), len(left), left)
+	}
+	m.K.Shutdown()
+	return err
 }
 
 // NowUS implements Machine.

@@ -10,14 +10,17 @@
 //
 // The design follows the classic process-oriented discrete-event style
 // (SimPy, OMNeT++): an event heap ordered by (time, sequence) drives
-// callbacks, and each process is a goroutine that hands control back to the
-// kernel whenever it blocks on virtual time or on a synchronization object
-// (Queue, Semaphore, Resource, Signal).
+// callbacks, and each process is a coroutine (iter.Pull) that the kernel
+// resumes with one direct switch and that switches back whenever it blocks
+// on virtual time or on a synchronization object (Queue, Semaphore,
+// Resource, Signal). Shutdown ends a run: it drops the pending events and
+// unwinds every process still live, so no coroutine outlives its kernel.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -108,8 +111,7 @@ type Kernel struct {
 	events  eventHeap
 	free    []*event // recycled event structs for the hot scheduling loop
 	procs   map[*Proc]struct{}
-	yield   chan struct{} // process -> kernel handoff
-	stopped bool
+	spawned uint64 // processes ever spawned; numbers them in spawn order
 	tracer  func(t Time, format string, args ...any)
 }
 
@@ -122,7 +124,6 @@ func NewKernel() *Kernel {
 	return &Kernel{
 		events: make(eventHeap, 0, heapHint),
 		procs:  make(map[*Proc]struct{}),
-		yield:  make(chan struct{}),
 	}
 }
 
@@ -188,43 +189,29 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return k.SpawnAt(0, name, fn)
 }
 
-// SpawnAt is Spawn with a start delay of d.
+// SpawnAt is Spawn with a start delay of d. The process's coroutine is
+// created by its start event, so a process that never starts costs no
+// goroutine.
 func (k *Kernel) SpawnAt(d Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-		state:  StateNew,
-	}
+	k.spawned++
+	p := &Proc{k: k, name: name, id: k.spawned, state: StateNew}
 	k.procs[p] = struct{}{}
 	k.At(d, func() {
 		p.state = StateRunning
-		go func() {
-			<-p.resume // wait for the kernel's first handoff
-			defer func() {
-				if r := recover(); r != nil && r != procKilled {
-					p.panicked = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-				}
-				p.state = StateDone
-				delete(k.procs, p)
-				for _, w := range p.doneWaiters {
-					k.wake(w)
-				}
-				p.doneWaiters = nil
-				k.yield <- struct{}{}
-			}()
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			defer p.exit()
 			fn(p)
-		}()
+		})
 		k.handoff(p)
 	})
 	return p
 }
 
-// handoff transfers control to p and blocks the kernel until p parks,
-// terminates or advances time.
+// handoff transfers control to p and returns once p parks, terminates or
+// advances time.
 func (k *Kernel) handoff(p *Proc) {
-	p.resume <- struct{}{}
-	<-k.yield
+	p.next()
 	if p.panicked != nil {
 		panic(p.panicked)
 	}
@@ -310,6 +297,62 @@ func (k *Kernel) Pending() int { return len(k.events) }
 // Live reports the number of processes that have been spawned and have not
 // yet terminated.
 func (k *Kernel) Live() int { return len(k.procs) }
+
+// Unfinished names the live processes that are not daemons, sorted: after
+// a RunUntil that returned nil they are what the limit cut short.
+func (k *Kernel) Unfinished() []string {
+	var names []string
+	for p := range k.procs {
+		if !p.daemon {
+			names = append(names, p.name+" ("+p.state.String()+")")
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Shutdown ends the simulation. It drops every pending event and unwinds
+// every live process in spawn order — parked, ready and never started
+// alike — as Kill would, so each one's deferred calls run (a Resource.Use
+// in flight releases its slot) and its coroutine exits. It returns once no
+// process goroutine is left, after which Live reads 0. Call it from kernel
+// context once the run is over — after RunUntil returns, or from an event
+// callback — never from a process; calling it again is a no-op. A process
+// that panics while unwinding re-panics here after every other one is
+// gone.
+func (k *Kernel) Shutdown() {
+	var panicked error
+	for len(k.procs) > 0 {
+		live := make([]*Proc, 0, len(k.procs))
+		for p := range k.procs {
+			live = append(live, p)
+		}
+		sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+		for _, p := range live {
+			p.killed = true
+			switch p.state {
+			case StateNew: // no coroutine yet: nothing to unwind
+				p.finish()
+			case StateParked, StateReady:
+				p.state = StateRunning
+				p.stop() // the suspend in progress panics procKilled
+			case StateRunning:
+				panic(fmt.Sprintf("sim: Shutdown while process %q runs", p.name))
+			}
+			if panicked == nil {
+				panicked = p.panicked
+			}
+		}
+	}
+	for _, ev := range k.events {
+		k.recycle(ev)
+	}
+	clear(k.events)
+	k.events = k.events[:0]
+	if panicked != nil {
+		panic(panicked)
+	}
+}
 
 // DeadlockError reports that simulation stalled with parked processes.
 type DeadlockError struct {

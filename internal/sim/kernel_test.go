@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -349,5 +352,113 @@ func TestEventRecyclingPreservesOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("dispatch order %v, want %v", got, want)
 		}
+	}
+}
+
+// TestShutdownUnwindsEveryProcess stops a kernel mid-run, from an event
+// callback, with one process of each kind still live: one parked inside
+// Resource.Use holding the bus, one parked waiting for the bus, one woken
+// and ready to resume, and one never started. Every started process must
+// unwind through its deferred calls in spawn order, the bus slot must come
+// back, Live must read 0 and no process goroutine may survive Shutdown.
+func TestShutdownUnwindsEveryProcess(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel()
+	bus := NewResource(k, "bus", 1)
+	q := NewQueue[int](k, "q", 0)
+	var unwound []string
+	body := func(name string, fn func(p *Proc)) func(p *Proc) {
+		return func(p *Proc) {
+			defer func() { unwound = append(unwound, name) }()
+			fn(p)
+			t.Errorf("%s ran past its blocking call", name)
+		}
+	}
+	holder := k.Spawn("holder", body("holder", func(p *Proc) { bus.Use(p, Second) }))
+	waiter := k.Spawn("waiter", body("waiter", func(p *Proc) { bus.Use(p, Second) }))
+	ready := k.Spawn("ready", body("ready", func(p *Proc) {
+		q.Get(p)
+		p.Advance(Second)
+	}))
+	late := k.SpawnAt(Second, "late", func(p *Proc) { t.Error("late process started") })
+
+	var states []State
+	k.At(5, func() { q.TryPut(1) }) // wakes ready: its resume is queued behind the next event
+	k.At(5, func() {
+		for _, p := range []*Proc{holder, waiter, ready, late} {
+			states = append(states, p.State())
+		}
+		k.Shutdown()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := []State{StateParked, StateParked, StateReady, StateNew}
+	for i := range want {
+		if states[i] != want[i] {
+			t.Fatalf("states at shutdown = %v, want %v", states, want)
+		}
+	}
+	if got := strings.Join(unwound, ","); got != "holder,waiter,ready" {
+		t.Fatalf("deferred calls ran for %q, want holder,waiter,ready in spawn order", got)
+	}
+	for _, p := range []*Proc{holder, waiter, ready, late} {
+		if p.State() != StateDone {
+			t.Errorf("%s state = %v after Shutdown, want done", p.Name(), p.State())
+		}
+	}
+	if c := bus.sem.Count(); c != 1 {
+		t.Fatalf("bus has %d free slots after Shutdown, want 1", c)
+	}
+	if k.Live() != 0 || k.Pending() != 0 {
+		t.Fatalf("after Shutdown: live=%d pending=%d, want 0, 0", k.Live(), k.Pending())
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before the kernel ran", n, before)
+	}
+	k.Shutdown() // idempotent
+
+	// The kernel stays usable: the released slot serves a new process.
+	var usedAt Time
+	k.Spawn("next", func(p *Proc) {
+		bus.Use(p, Microsecond)
+		usedAt = p.Now()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if usedAt != k.Now() || usedAt != 5+Time(Microsecond) {
+		t.Fatalf("new process used the bus until t=%d, want %d", usedAt, 5+Time(Microsecond))
+	}
+}
+
+// TestShutdownRepanics: a process that panics while Shutdown unwinds it
+// re-panics from Shutdown, after the other processes are gone.
+func TestShutdownRepanics(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel()
+	q := NewQueue[int](k, "q", 0)
+	k.Spawn("bad", func(p *Proc) {
+		defer func() { panic("cleanup failed") }()
+		q.Get(p)
+	})
+	k.Spawn("good", func(p *Proc) { q.Get(p) })
+	if err := k.Run(); err == nil {
+		t.Fatal("Run did not report the deadlock")
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "cleanup failed") {
+				t.Errorf("Shutdown recovered %v, want the cleanup panic", r)
+			}
+		}()
+		k.Shutdown()
+	}()
+	if k.Live() != 0 {
+		t.Fatalf("live = %d after Shutdown, want 0", k.Live())
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before the kernel ran", n, before)
 	}
 }

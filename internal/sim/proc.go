@@ -39,9 +39,15 @@ var procKilled = &struct{ reason string }{"killed"}
 // goroutine: the kernel guarantees only one process runs at a time, and the
 // synchronization objects rely on that.
 type Proc struct {
-	k           *Kernel
-	name        string
-	resume      chan struct{}
+	k    *Kernel
+	name string
+	id   uint64 // spawn order, for Shutdown
+	// next resumes the process's coroutine until it suspends or returns;
+	// stop unwinds a suspended one; yield, called by the coroutine,
+	// suspends it and reports false once stop was called.
+	next        func() (struct{}, bool)
+	stop        func()
+	yield       func(struct{}) bool
 	state       State
 	parkSeq     uint64 // incremented on every park; guards against stale wakes
 	waitReason  string
@@ -52,8 +58,8 @@ type Proc struct {
 }
 
 // SetDaemon marks the process as a background service: a parked daemon does
-// not count as a deadlock when the event queue drains (it simply never runs
-// again). Observation service loops use this.
+// not count as a deadlock when the event queue drains (it never runs again,
+// and Shutdown ends it). Observation service loops use this.
 func (p *Proc) SetDaemon(v bool) { p.daemon = v }
 
 // Daemon reports whether the process is marked as a daemon.
@@ -74,18 +80,44 @@ func (p *Proc) Now() Time { return p.k.now }
 // park suspends the process until another event wakes it. reason is reported
 // by deadlock diagnostics.
 func (p *Proc) park(reason string) {
-	p.parkSeq++
-	p.state = StateParked
-	p.waitReason = reason
 	if p.k.tracer != nil {
 		p.k.trace("park %s: %s", p.name, reason)
 	}
-	p.k.yield <- struct{}{}
-	<-p.resume
+	p.suspend(reason)
+}
+
+// suspend switches back to the kernel with the process parked and returns
+// when the kernel resumes it. A killed process, and one Shutdown stops,
+// unwinds from here.
+func (p *Proc) suspend(reason string) {
+	p.parkSeq++
+	p.state = StateParked
+	p.waitReason = reason
+	resumed := p.yield(struct{}{})
 	p.waitReason = ""
-	if p.killed {
+	if !resumed || p.killed {
 		panic(procKilled)
 	}
+}
+
+// exit is the coroutine's last deferred call, on return, kill or panic: it
+// keeps a panic for handoff to re-raise on the kernel's side and retires
+// the process.
+func (p *Proc) exit() {
+	if r := recover(); r != nil && r != procKilled {
+		p.panicked = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+	}
+	p.finish()
+}
+
+// finish marks the process done and wakes the processes joining it.
+func (p *Proc) finish() {
+	p.state = StateDone
+	delete(p.k.procs, p)
+	for _, w := range p.doneWaiters {
+		p.k.wake(w)
+	}
+	p.doneWaiters = nil
 }
 
 // Advance consumes d of virtual time: the process is suspended and resumes
@@ -100,30 +132,14 @@ func (p *Proc) Advance(d Duration) {
 		return
 	}
 	p.k.atWake(d, p)
-	p.parkSeq++
-	p.state = StateParked
-	p.waitReason = "advance"
-	p.k.yield <- struct{}{}
-	<-p.resume
-	p.waitReason = ""
-	if p.killed {
-		panic(procKilled)
-	}
+	p.suspend("advance")
 }
 
 // YieldTurn relinquishes the processor without advancing time; the process
 // resumes after all other events already scheduled for the current instant.
 func (p *Proc) YieldTurn() {
 	p.k.atWake(0, p)
-	p.parkSeq++
-	p.state = StateParked
-	p.waitReason = "yield"
-	p.k.yield <- struct{}{}
-	<-p.resume
-	p.waitReason = ""
-	if p.killed {
-		panic(procKilled)
-	}
+	p.suspend("yield")
 }
 
 // Join blocks until other terminates. Joining a terminated process returns
