@@ -447,10 +447,14 @@ func BenchmarkNativePipelineThroughput(b *testing.B) {
 }
 
 // BenchmarkNativeSendLatency measures the host cost of one instrumented
-// EMBera send+receive round through the native channel-backed mailbox —
-// the wall-clock counterpart of BenchmarkSendPrimitive_SMP (perfstat's
+// EMBera send+receive round through the native mailbox — the wall-clock
+// counterpart of BenchmarkSendPrimitive_SMP (perfstat's
 // micro/native-mailbox-send body).
 func BenchmarkNativeSendLatency(b *testing.B) { perfstat.BenchNativeMailboxSend(b) }
+
+// BenchmarkNativeFanIn measures the same round with eight producers blocked
+// on one one-message inbox (perfstat's micro/native-mailbox-fanin body).
+func BenchmarkNativeFanIn(b *testing.B) { perfstat.BenchNativeMailboxFanIn(b) }
 
 // BenchmarkEntropyDecode measures the Fetch stage's core work: Huffman
 // decoding a full frame's scan into coefficient blocks.

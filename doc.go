@@ -17,11 +17,12 @@
 //     and figures and for fingerprint-exact regression testing.
 //   - native — the same component model bound to the host Go runtime
 //     (internal/native): one goroutine per component, bounded
-//     channel-signalled mailboxes, wall-clock timestamps, real
-//     concurrency. Results (workload checksums, communication counters)
-//     match the simulators bit for bit; timings are real and therefore
-//     not reproducible. Use it to measure actual throughput and to
-//     exercise observation under true parallelism.
+//     mailboxes that serve their blocked flows in FIFO order,
+//     wall-clock timestamps, real concurrency. Results (workload
+//     checksums, communication counters) match the simulators bit for
+//     bit; timings are real and therefore not reproducible. Use it to
+//     measure actual throughput and to exercise observation under true
+//     parallelism.
 //   - cluster — the same assembly sharded across OS processes
 //     (internal/cluster): components are placed by FNV-1a name hash
 //     modulo the shard count, a coordinator re-execs its own binary

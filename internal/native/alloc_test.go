@@ -1,6 +1,9 @@
 package native
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"embera/internal/core"
@@ -8,9 +11,7 @@ import (
 
 // TestMailboxSteadyStateZeroAlloc locks the uncontended mailbox hot path at
 // zero allocations: a send finding room and a receive finding data, with
-// nobody parked on the other side, must not touch the waiter channels (the
-// previous implementation closed-and-replaced a channel on every
-// operation, allocating once per send and once per receive).
+// nobody parked on the other side, touch no waiter at all.
 func TestMailboxSteadyStateZeroAlloc(t *testing.T) {
 	mb := newMailbox("in", 1<<20)
 	msg := core.Message{Bytes: 1024, From: "prod"}
@@ -69,28 +70,63 @@ func TestMailboxNeverDrainedStaysBounded(t *testing.T) {
 	}
 }
 
-// TestWaiterWakeOnlyAllocatesWhenParked pins the lazy-channel contract:
-// wake with no waiter is free, and a parked waiter's channel is dropped
-// after one wake so closure and re-park each cost exactly one channel.
-func TestWaiterWakeOnlyAllocatesWhenParked(t *testing.T) {
-	var w waiter
-	if allocs := testing.AllocsPerRun(100, w.wake); allocs != 0 {
-		t.Fatalf("wake with no waiter allocates %v, want 0", allocs)
+// TestParkedFlowsDoNotAllocate pins the cost of blocking on the native
+// platform: a flow parks on its own reusable waiter and sleeps on its own
+// reusable timer, so once the first park and the first sleep have made
+// them, a blocked send, a blocked receive and a sleep allocate nothing.
+func TestParkedFlowsDoNotAllocate(t *testing.T) {
+	msg := core.Message{Bytes: 1, From: "prod"}
+	// Each helper serves the measured flow only once it is parked, so every
+	// measured operation really blocks.
+	serve := func(mu *sync.Mutex, q *waitq, op func(), stop *atomic.Bool) {
+		for !stop.Load() {
+			if parked(mu, q) == 0 {
+				runtime.Gosched()
+				continue
+			}
+			op()
+		}
 	}
-	ch := w.channel()
-	if ch == nil {
-		t.Fatal("channel() returned nil")
-	}
-	if again := w.channel(); again != ch {
-		t.Fatal("channel() must return the same channel until the next wake")
-	}
-	w.wake()
-	select {
-	case <-ch:
-	default:
-		t.Fatal("wake did not close the parked channel")
-	}
-	if w.ch != nil {
-		t.Fatal("wake must drop the closed channel")
-	}
+
+	t.Run("send", func(t *testing.T) {
+		mb := newMailbox("in", 1)
+		mb.Send(nil, msg) // full: every measured send parks
+		s, r := testFlow(), testFlow()
+		var stop atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			serve(&mb.mu, &mb.senders, func() { mb.Receive(r) }, &stop)
+		}()
+		allocs := testing.AllocsPerRun(200, func() { mb.Send(s, msg) })
+		stop.Store(true)
+		<-done
+		if allocs != 0 {
+			t.Fatalf("blocked send allocates %v per op, want 0", allocs)
+		}
+	})
+
+	t.Run("receive", func(t *testing.T) {
+		mb := newMailbox("in", 1)
+		s, r := testFlow(), testFlow()
+		var stop atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			serve(&mb.mu, &mb.receivers, func() { mb.Send(s, msg) }, &stop)
+		}()
+		allocs := testing.AllocsPerRun(200, func() { mb.Receive(r) })
+		stop.Store(true)
+		<-done
+		if allocs != 0 {
+			t.Fatalf("blocked receive allocates %v per op, want 0", allocs)
+		}
+	})
+
+	t.Run("sleep", func(t *testing.T) {
+		f := testFlow()
+		if allocs := testing.AllocsPerRun(200, func() { f.SleepUS(1) }); allocs != 0 {
+			t.Fatalf("SleepUS allocates %v per op, want 0", allocs)
+		}
+	})
 }

@@ -9,56 +9,148 @@ import (
 	"embera/internal/ringbuf"
 )
 
-// waiter is the channel-backed broadcast primitive behind mailbox blocking:
-// a channel that is closed to wake every waiter. Unlike sync.Cond it
-// composes with select, which is what lets a blocked send or receive also
-// react to the component's kill channel and to mailbox closure.
-//
-// The channel is created lazily, only when a flow actually needs to park,
-// and wake drops it once closed: the uncontended fast path — a send finding
-// room, a receive finding data, with nobody parked on the other side —
-// touches no channel at all and allocates nothing. Before this the wake
-// side closed-and-replaced its channel on every operation, which made every
-// native send pay for a channel allocation whether or not anyone was
-// waiting.
+// waiter is one parked flow: an entry in a mailbox's FIFO of blocked
+// senders or blocked receivers. The flow that serves it — a receive
+// admitting a sender's message, a send readying a receiver, a close —
+// unlinks it under the mailbox lock, then signals ready once. ready has one
+// slot, so that signal never blocks, and a native flow reuses the same
+// waiter for every park: blocking allocates nothing.
 type waiter struct {
-	ch chan struct{}
+	msg   core.Message // a parked sender's message, admitted by its server
+	ok    bool         // a parked sender's result: admitted, or failed by Close
+	next  *waiter
+	ready chan struct{}
 }
 
-// channel returns the channel to park on, creating it on first need.
-// Callers hold the owning mailbox lock.
-func (w *waiter) channel() chan struct{} {
-	if w.ch == nil {
-		w.ch = make(chan struct{})
+// foreignWaiters lends waiters to flows that do not bring their own: the
+// cluster's injection flow and the nil flow of tests.
+var foreignWaiters = sync.Pool{New: func() any {
+	return &waiter{ready: make(chan struct{}, 1)}
+}}
+
+// waitq is a FIFO of parked flows, guarded by the owning mailbox lock.
+type waitq struct{ head, tail *waiter }
+
+func (q *waitq) push(w *waiter) {
+	if q.tail == nil {
+		q.head = w
+	} else {
+		q.tail.next = w
 	}
-	return w.ch
+	q.tail = w
 }
 
-// wake wakes every goroutine currently waiting; with no waiters it is a
-// nil check. Callers hold the owning mailbox lock.
-func (w *waiter) wake() {
-	if w.ch != nil {
-		close(w.ch)
-		w.ch = nil
+// pop unlinks the oldest waiter, or returns nil.
+func (q *waitq) pop() *waiter {
+	w := q.head
+	if w != nil {
+		q.head = w.next
+		if q.head == nil {
+			q.tail = nil
+		}
+		w.next = nil
+	}
+	return w
+}
+
+// remove unlinks w wherever it stands and reports whether it was queued —
+// false means a server already took it. Only a kill needs it, so a walk is
+// cheap enough.
+func (q *waitq) remove(w *waiter) bool {
+	var prev *waiter
+	for cur := q.head; cur != nil; prev, cur = cur, cur.next {
+		if cur != w {
+			continue
+		}
+		if prev == nil {
+			q.head = w.next
+		} else {
+			prev.next = w.next
+		}
+		if q.tail == w {
+			q.tail = prev
+		}
+		w.next = nil
+		return true
+	}
+	return false
+}
+
+// wakeAll signals every waiter of a list its server has already unlinked.
+// It runs after the mailbox lock is released, and reads each link before
+// the signal that hands the waiter back to its flow.
+func (q *waitq) wakeAll() {
+	for w := q.head; w != nil; {
+		next := w.next
+		w.next = nil
+		w.ready <- struct{}{}
+		w = next
+	}
+}
+
+// parker returns the waiter f parks on and the kill channel that can
+// interrupt it: a native flow's own waiter and kill channel, or a borrowed
+// waiter and no kill channel for a foreign flow. release hands a borrowed
+// waiter back.
+func parker(f core.Flow) (w *waiter, killed chan struct{}) {
+	if nf, ok := f.(*flow); ok {
+		return nf.waiter(), nf.killed
+	}
+	return foreignWaiters.Get().(*waiter), nil
+}
+
+func release(f core.Flow, w *waiter) {
+	if _, ok := f.(*flow); !ok {
+		foreignWaiters.Put(w)
+	}
+}
+
+// park queues w on q and blocks until a server signals it. It is entered
+// holding mu and returns with mu released. A kill that beats the server
+// unlinks w and unwinds the flow, so a parked sender's message never enters
+// the buffer; a server that beat the kill stands, the operation completes,
+// and the kill lands at the flow's next primitive.
+func park(mu *sync.Mutex, q *waitq, w *waiter, killed chan struct{}) {
+	q.push(w)
+	mu.Unlock()
+	if killed == nil {
+		<-w.ready
+		return
+	}
+	select {
+	case <-w.ready:
+	case <-killed:
+		mu.Lock()
+		if q.remove(w) {
+			mu.Unlock()
+			w.msg = core.Message{}
+			panic(killedPanic{})
+		}
+		mu.Unlock()
+		<-w.ready // served before the kill took the lock
 	}
 }
 
 // mailbox is the bounded, byte-accounted FIFO behind a provided interface:
-// the §4.1 mailbox realized on channel signalling. Senders block while the
-// buffer lacks room for the message's modelled bytes; receivers block while
-// it is empty. Multiple concurrent producers are safe (the conformance
-// topologies fan many components into one inbox).
+// the §4.1 mailbox, with blocked flows queued in FIFO order and served
+// directly, the way Go's buffered channels serve theirs. A receive that
+// frees room moves queued senders' messages into the buffer itself, in
+// order while they fit, and readies exactly those senders; a send into an
+// empty box readies one parked receiver, and a receive that leaves data
+// behind readies the next. A new sender never overtakes a queued one.
+// Multiple concurrent producers are safe (the conformance topologies fan
+// many components into one inbox).
 type mailbox struct {
 	name     string
 	capacity int64
 
-	mu      sync.Mutex
-	buf     []core.Message
-	head    int
-	pending int64 // modelled bytes buffered
-	closed  bool
-	data    waiter // fires when a message arrives or the box closes
-	space   waiter // fires when room frees up or the box closes
+	mu        sync.Mutex
+	buf       []core.Message
+	head      int
+	pending   int64 // modelled bytes buffered
+	closed    bool
+	senders   waitq // parked senders, each holding the message to admit
+	receivers waitq // parked receivers, waiting for the box to fill
 
 	// depthA/pendingA/maxDepthA mirror the depth, buffered bytes and
 	// high-water mark atomically: they are stored while holding mu, so the
@@ -74,26 +166,26 @@ func newMailbox(name string, capacity int64) *mailbox {
 	return &mailbox{name: name, capacity: capacity}
 }
 
-// killChan extracts the kill channel when the flow is a native component
-// flow; service flows (and foreign flows in tests) yield nil, meaning the
-// wait cannot be interrupted by a kill.
-func killChan(f core.Flow) chan struct{} {
-	if nf, ok := f.(*flow); ok {
-		return nf.killed
-	}
-	return nil
+// fits reports whether msg's modelled bytes fit the free room. Callers hold
+// mu.
+func (m *mailbox) fits(msg core.Message) bool {
+	return m.pending+int64(msg.Bytes) <= m.capacity
 }
 
-// await blocks until ch fires or the kill channel does.
-func await(ch <-chan struct{}, killed chan struct{}) {
-	if killed == nil {
-		<-ch
-		return
-	}
-	select {
-	case <-ch:
-	case <-killed:
-		panic(killedPanic{})
+// push appends msg to the buffer. Callers hold mu.
+func (m *mailbox) push(msg core.Message) {
+	m.buf = append(m.buf, msg)
+	m.pending += int64(msg.Bytes)
+}
+
+// publish mirrors the occupancy into the lock-free atomics. Callers hold
+// mu.
+func (m *mailbox) publish() {
+	d := int64(len(m.buf) - m.head)
+	m.depthA.Store(d)
+	m.pendingA.Store(m.pending)
+	if d > m.maxDepthA.Load() {
+		m.maxDepthA.Store(d)
 	}
 }
 
@@ -103,65 +195,83 @@ func (m *mailbox) Send(sender core.Flow, msg core.Message) bool {
 		panic(fmt.Sprintf("native: message of %d bytes can never fit mailbox %s of %d bytes",
 			msg.Bytes, m.name, m.capacity))
 	}
-	killed := killChan(sender)
 	m.mu.Lock()
-	for !m.closed && m.pending+int64(msg.Bytes) > m.capacity {
-		ch := m.space.channel()
-		m.mu.Unlock()
-		await(ch, killed)
-		m.mu.Lock()
-	}
 	if m.closed {
 		m.mu.Unlock()
 		return false
 	}
-	m.buf = append(m.buf, msg)
-	m.pending += int64(msg.Bytes)
-	d := int64(len(m.buf) - m.head)
-	m.depthA.Store(d)
-	m.pendingA.Store(m.pending)
-	if d > m.maxDepthA.Load() {
-		m.maxDepthA.Store(d)
+	if m.senders.head == nil && m.fits(msg) {
+		var r *waiter
+		if len(m.buf) == m.head {
+			r = m.receivers.pop()
+		}
+		m.push(msg)
+		m.publish()
+		m.mu.Unlock()
+		if r != nil {
+			r.ready <- struct{}{}
+		}
+		return true
 	}
-	m.data.wake()
-	m.mu.Unlock()
-	return true
+	w, killed := parker(sender)
+	w.msg = msg
+	park(&m.mu, &m.senders, w, killed)
+	ok := w.ok
+	release(sender, w)
+	return ok
 }
 
 // Receive implements core.Mailbox.
 func (m *mailbox) Receive(receiver core.Flow) (core.Message, bool) {
-	killed := killChan(receiver)
 	m.mu.Lock()
 	for len(m.buf) == m.head {
 		if m.closed {
 			m.mu.Unlock()
 			return core.Message{}, false
 		}
-		ch := m.data.channel()
-		m.mu.Unlock()
-		await(ch, killed)
+		w, killed := parker(receiver)
+		park(&m.mu, &m.receivers, w, killed)
+		release(receiver, w)
 		m.mu.Lock()
 	}
 	msg, buf, head := ringbuf.PopFront(m.buf, m.head)
 	m.buf, m.head = buf, head
 	m.pending -= int64(msg.Bytes)
-	m.depthA.Store(int64(len(m.buf) - m.head))
-	m.pendingA.Store(m.pending)
-	m.space.wake()
+	var served waitq
+	for w := m.senders.head; w != nil && m.fits(w.msg); w = m.senders.head {
+		m.senders.pop()
+		m.push(w.msg)
+		w.msg, w.ok = core.Message{}, true
+		served.push(w)
+	}
+	m.publish()
+	if len(m.buf) > m.head {
+		if r := m.receivers.pop(); r != nil {
+			served.push(r)
+		}
+	}
 	m.mu.Unlock()
+	served.wakeAll()
 	return msg, true
 }
 
-// Close implements core.Mailbox: receivers drain the buffer then get
-// ok=false; blocked senders fail.
+// Close implements core.Mailbox: parked senders fail, parked receivers
+// wake, and receivers drain the buffer then get ok=false.
 func (m *mailbox) Close() {
 	m.mu.Lock()
-	if !m.closed {
-		m.closed = true
-		m.data.wake()
-		m.space.wake()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
+	m.closed = true
+	senders, receivers := m.senders, m.receivers
+	m.senders, m.receivers = waitq{}, waitq{}
+	for w := senders.head; w != nil; w = w.next {
+		w.msg, w.ok = core.Message{}, false
 	}
 	m.mu.Unlock()
+	senders.wakeAll()
+	receivers.wakeAll()
 }
 
 // BufBytes implements core.Mailbox.
@@ -182,15 +292,15 @@ var _ core.Mailbox = (*mailbox)(nil)
 
 // queue is the unbounded service mailbox for observation traffic: sends
 // never block, receives wait for data, closure drains then reports
-// ok=false.
+// ok=false. Its receivers wake one at a time, like the mailbox's.
 type queue struct {
 	name string
 
-	mu     sync.Mutex
-	buf    []core.Message
-	head   int
-	closed bool
-	data   waiter
+	mu        sync.Mutex
+	buf       []core.Message
+	head      int
+	closed    bool
+	receivers waitq
 }
 
 func newQueue(name string) *queue { return &queue{name: name} }
@@ -202,40 +312,56 @@ func (q *queue) Send(sender core.Flow, m core.Message) bool {
 		q.mu.Unlock()
 		return false
 	}
+	var r *waiter
+	if len(q.buf) == q.head {
+		r = q.receivers.pop()
+	}
 	q.buf = append(q.buf, m)
-	q.data.wake()
 	q.mu.Unlock()
+	if r != nil {
+		r.ready <- struct{}{}
+	}
 	return true
 }
 
 // Receive implements core.Mailbox.
 func (q *queue) Receive(receiver core.Flow) (core.Message, bool) {
-	killed := killChan(receiver)
 	q.mu.Lock()
 	for len(q.buf) == q.head {
 		if q.closed {
 			q.mu.Unlock()
 			return core.Message{}, false
 		}
-		ch := q.data.channel()
-		q.mu.Unlock()
-		await(ch, killed)
+		w, killed := parker(receiver)
+		park(&q.mu, &q.receivers, w, killed)
+		release(receiver, w)
 		q.mu.Lock()
 	}
 	m, buf, head := ringbuf.PopFront(q.buf, q.head)
 	q.buf, q.head = buf, head
+	var r *waiter
+	if len(q.buf) > q.head {
+		r = q.receivers.pop()
+	}
 	q.mu.Unlock()
+	if r != nil {
+		r.ready <- struct{}{}
+	}
 	return m, true
 }
 
 // Close implements core.Mailbox.
 func (q *queue) Close() {
 	q.mu.Lock()
-	if !q.closed {
-		q.closed = true
-		q.data.wake()
+	if q.closed {
+		q.mu.Unlock()
+		return
 	}
+	q.closed = true
+	receivers := q.receivers
+	q.receivers = waitq{}
 	q.mu.Unlock()
+	receivers.wakeAll()
 }
 
 // BufBytes implements core.Mailbox: service queues are unaccounted.

@@ -2,7 +2,8 @@
 // runtime itself: a component is a data structure and a goroutine, exactly
 // the paper's "a data structure and a POSIX thread" (§4) with the Go
 // scheduler standing in for the pthread library. Provided interfaces are
-// bounded, byte-accounted FIFO mailboxes built on channel signalling;
+// bounded, byte-accounted FIFO mailboxes whose blocked flows queue in FIFO
+// order and are served directly, each parked on its own reusable waiter;
 // middleware timestamps come from the wall clock behind the same
 // core.Binding.NowUS seam the simulated platforms use; OS-level observation
 // reports real elapsed execution time and the component's structural memory
@@ -132,7 +133,7 @@ func (b *Binding) Spawn(c *core.Component, run func(f core.Flow)) error {
 	go func() {
 		defer b.comps.Done()
 		defer func() {
-			d.endNS.Store(b.nowNS())
+			d.endNS.CompareAndSwap(0, b.nowNS())
 			if r := recover(); r != nil {
 				if _, isKill := r.(killedPanic); isKill {
 					return
@@ -231,7 +232,15 @@ func (b *Binding) osView(c *core.Component, nowNS int64) core.OSReport {
 	if start == 0 {
 		return rep // not spawned yet
 	}
-	if end := d.endNS.Load(); end != 0 {
+	end := d.endNS.Load()
+	if end == 0 && c.State() == core.StateDone {
+		// Core publishes done from inside the flow, before the spawn
+		// wrapper stamps the end: stamp it here, so a report taken once
+		// App.Done holds never reads a finished component as running.
+		d.endNS.CompareAndSwap(0, b.nowNS())
+		end = d.endNS.Load()
+	}
+	if end != 0 {
 		rep.ExecTimeUS = (end - start) / int64(time.Microsecond)
 	} else {
 		rep.Running = true
@@ -276,10 +285,25 @@ var _ core.Binding = (*Binding)(nil)
 
 // flow adapts a goroutine to core.Flow. Component flows carry the kill
 // channel; service and driver flows have none (nil) and can never unwind.
+// The flow reuses w for every park and timer for every sleep; only its own
+// goroutine touches them, apart from the mailbox serving w while it is
+// parked.
 type flow struct {
 	b      *Binding
 	killed chan struct{}
 	comp   *platData
+
+	w     waiter
+	timer *time.Timer
+}
+
+// waiter returns the flow's reusable waiter, making its ready channel on
+// the first park.
+func (f *flow) waiter() *waiter {
+	if f.w.ready == nil {
+		f.w.ready = make(chan struct{}, 1)
+	}
+	return &f.w
 }
 
 // Compute implements core.Flow. The modelled cycles are recorded but cost
@@ -306,9 +330,15 @@ func (f *flow) SleepUS(us int64) {
 		time.Sleep(d)
 		return
 	}
+	if f.timer == nil {
+		f.timer = time.NewTimer(d)
+	} else {
+		f.timer.Reset(d) // no stale tick survives a Reset since Go 1.23
+	}
 	select {
-	case <-time.After(d):
+	case <-f.timer.C:
 	case <-f.killed:
+		f.timer.Stop()
 		panic(killedPanic{})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"embera/internal/core"
 	"embera/internal/exp"
 	"embera/internal/monitor"
+	"embera/internal/native"
 	"embera/internal/platform"
 
 	_ "embera/internal/mjpegapp"
@@ -181,6 +182,56 @@ func TestTerminateUnblocksBlockedPrimitives(t *testing.T) {
 	}
 }
 
+// TestMailboxKillConservation terminates a producer that is mostly parked
+// on a full one-message inbox while its consumer keeps receiving, so the
+// kill races the receive that would admit the parked message. Whichever
+// wins, every counted send is received, and the middleware counters agree
+// with the application's.
+func TestMailboxKillConservation(t *testing.T) {
+	for round := 0; round < 40; round++ {
+		m, a := platform.MustGet("native").New("kill-conservation")
+		prod := a.MustNewComponent("prod", func(ctx *core.Ctx) {
+			for {
+				ctx.Compute(1) // a kill also lands here when the box has room
+				ctx.Send("out", nil, 64)
+			}
+		}).MustAddRequired("out")
+		cons := a.MustNewComponent("cons", func(ctx *core.Ctx) {
+			for {
+				if _, ok := ctx.Receive("in"); !ok {
+					return
+				}
+			}
+		}).MustAddProvided("in", 64)
+		a.MustConnect(prod, "out", cons, "in")
+		if err := a.Start(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Duration(round%8) * 25 * time.Microsecond)
+		if err := a.Terminate(prod); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(wallHorizonUS); err != nil {
+			t.Fatal(err)
+		}
+		p, c := prod.Snapshot(core.LevelAll), cons.Snapshot(core.LevelAll)
+		if p.App.SendOps != c.App.RecvOps {
+			t.Fatalf("round %d: sent %d != received %d", round, p.App.SendOps, c.App.RecvOps)
+		}
+		var mwSend, mwRecv uint64
+		for _, s := range p.Middleware.Send {
+			mwSend += s.Ops
+		}
+		for _, r := range c.Middleware.Recv {
+			mwRecv += r.Ops
+		}
+		if mwSend != p.App.SendOps || mwRecv != c.App.RecvOps {
+			t.Fatalf("round %d: middleware %d/%d vs application %d/%d",
+				round, mwSend, mwRecv, p.App.SendOps, c.App.RecvOps)
+		}
+	}
+}
+
 // TestObserverQueriesLiveApplication drives the §3.3 observation path —
 // request/report through the observation interfaces — while the components
 // genuinely run in parallel.
@@ -328,5 +379,45 @@ func TestIndependentMachines(t *testing.T) {
 		if !pair.a.Done() {
 			t.Fatal("machine did not run its app")
 		}
+	}
+}
+
+// doneHook decorates the native binding the way the cluster platform does:
+// its hook runs on the component's goroutine after core has published the
+// component done, before the native spawn wrapper returns.
+type doneHook struct {
+	*native.Binding
+	hook func(c *core.Component)
+}
+
+func (h doneHook) Spawn(c *core.Component, run func(f core.Flow)) error {
+	return h.Binding.Spawn(c, func(f core.Flow) {
+		defer h.hook(c)
+		run(f)
+	})
+}
+
+// TestOSViewStopsAtDone: once core reports a component done, its OS view
+// reads it as not running, with a fixed execution time, even before the
+// spawn wrapper that ran it has returned. A report taken at quiescence
+// used to catch finished components still "running".
+func TestOSViewStopsAtDone(t *testing.T) {
+	b := native.NewBinding(1)
+	var atDone core.OSReport
+	a := core.NewApp("done-view", doneHook{Binding: b, hook: func(c *core.Component) {
+		atDone = b.OSView(c)
+	}})
+	c := a.MustNewComponent("c", func(ctx *core.Ctx) { ctx.SleepUS(100) })
+	if err := a.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := native.NewMachine(b, a).Run(wallHorizonUS); err != nil {
+		t.Fatal(err)
+	}
+	if atDone.Running {
+		t.Error("component done in core still running in its OS view")
+	}
+	if final := b.OSView(c); final.Running || final.ExecTimeUS != atDone.ExecTimeUS {
+		t.Errorf("final OS view %+v, want the stopped view seen at done %+v", final, atDone)
 	}
 }

@@ -130,22 +130,19 @@ func ObservationOverhead(opts HarnessOptions) (Record, error) {
 	return rec, nil
 }
 
-// MicroBenchmarks measures the zero-alloc hot paths the overhaul of this
-// record's first baseline established — the monitor sample path, the native
-// mailbox send path, the sim kernel event loop and the trace recorder/codec
-// — via testing.Benchmark, and returns them keyed "micro/<path>". Their
-// allocs_per_op entries are the committed invariant: CI diffs them against
-// the baseline, so a change that re-introduces per-operation allocation on
-// any of these paths fails the build.
+// MicroBenchmarks measures the zero-alloc hot paths — the monitor sample
+// path, the native mailbox send and fan-in paths, the sim kernel event loop
+// and the trace recorder/codec — via testing.Benchmark, and returns them
+// keyed "micro/<path>". Their allocs_per_op entries are the committed
+// invariant: CI diffs them against the baseline, so a change that
+// re-introduces per-operation allocation on any of these paths fails the
+// build. The native micros park goroutines at a scheduling-dependent rate,
+// but a park allocates nothing, so their allocation counts gate too.
 func MicroBenchmarks() Record {
 	rec := Record{}
 	rec["micro/monitor-sample-tick"] = fromBenchmark(testing.Benchmark(BenchMonitorSampleTick))
-	// The native micro parks goroutines at a scheduling-dependent rate and
-	// each park allocates a waiter channel, so like the OV native cells it
-	// is tracked but exempt from the gate.
-	native := fromBenchmark(testing.Benchmark(BenchNativeMailboxSend))
-	native.Nondeterministic = true
-	rec["micro/native-mailbox-send"] = native
+	rec["micro/native-mailbox-send"] = fromBenchmark(testing.Benchmark(BenchNativeMailboxSend))
+	rec["micro/native-mailbox-fanin"] = fromBenchmark(testing.Benchmark(BenchNativeMailboxFanIn))
 	rec["micro/sim-kernel-send"] = fromBenchmark(testing.Benchmark(BenchSimKernelSend))
 	rec["micro/trace-emit"] = fromBenchmark(testing.Benchmark(benchTraceEmit))
 	rec["micro/trace-write-event"] = fromBenchmark(testing.Benchmark(BenchTraceWrite))
@@ -186,8 +183,7 @@ func BenchMonitorSampleTick(b *testing.B) {
 }
 
 // BenchNativeMailboxSend measures one instrumented send+receive round
-// through the native channel-backed mailbox, the wall-clock platform's hot
-// path.
+// through the native mailbox, the wall-clock platform's hot path.
 func BenchNativeMailboxSend(b *testing.B) {
 	m, a := platform.MustGet("native").New("perfstat")
 	n := b.N
@@ -206,6 +202,48 @@ func BenchNativeMailboxSend(b *testing.B) {
 	})
 	cons.MustAddProvided("in", 1<<20)
 	a.MustConnect(prod, "out", cons, "in")
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := a.Start(); err != nil {
+		b.Fatal(err)
+	}
+	if err := m.Run(int64(10 * 60 * 1e6)); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// fanInProducers is the fan-in micro's producer count: the eight servers
+// that feed the collector of the canonical burst cell.
+const fanInProducers = 8
+
+// BenchNativeMailboxFanIn measures one instrumented send+receive round
+// through the collector shape of a served burst: fanInProducers producers
+// blocked on one one-message inbox, so nearly every send parks and every
+// receive admits the next queued sender's message.
+func BenchNativeMailboxFanIn(b *testing.B) {
+	const msgBytes = 64
+	m, a := platform.MustGet("native").New("perfstat")
+	cons := a.MustNewComponent("cons", func(ctx *core.Ctx) {
+		for {
+			if _, ok := ctx.Receive("in"); !ok {
+				return
+			}
+		}
+	})
+	cons.MustAddProvided("in", msgBytes)
+	for p := 0; p < fanInProducers; p++ {
+		n := b.N / fanInProducers
+		if p < b.N%fanInProducers {
+			n++
+		}
+		prod := a.MustNewComponent(fmt.Sprintf("prod%d", p), func(ctx *core.Ctx) {
+			for i := 0; i < n; i++ {
+				ctx.Send("out", nil, msgBytes)
+			}
+		})
+		prod.MustAddRequired("out")
+		a.MustConnect(prod, "out", cons, "in")
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := a.Start(); err != nil {

@@ -51,15 +51,16 @@ func TestObservationOverheadUnknownNames(t *testing.T) {
 
 // TestMicroBenchmarksZeroAllocPaths runs the micro harness (at the small
 // automatic b.N testing.Benchmark settles on) and asserts the zero-alloc
-// invariants hold on the two acceptance paths: the monitor sample tick and
-// the native mailbox send.
+// invariants hold on the acceptance paths: the monitor sample tick, the
+// native mailbox send and fan-in, and the trace recorder. The native micros
+// gate like the rest: parking allocates nothing.
 func TestMicroBenchmarksZeroAllocPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micro harness is seconds-long; skipped under -short")
 	}
 	rec := MicroBenchmarks()
 	for _, key := range []string{
-		"micro/monitor-sample-tick", "micro/native-mailbox-send",
+		"micro/monitor-sample-tick", "micro/native-mailbox-send", "micro/native-mailbox-fanin",
 		"micro/sim-kernel-send", "micro/trace-emit", "micro/trace-write-event",
 	} {
 		e, ok := rec[key]
@@ -69,8 +70,13 @@ func TestMicroBenchmarksZeroAllocPaths(t *testing.T) {
 		if e.Units <= 0 || e.NsPerOp <= 0 {
 			t.Fatalf("%s not measured: %+v", key, e)
 		}
+		if e.Nondeterministic {
+			t.Fatalf("%s exempt from the gate", key)
+		}
 	}
-	for _, key := range []string{"micro/monitor-sample-tick", "micro/native-mailbox-send", "micro/trace-emit"} {
+	for _, key := range []string{
+		"micro/monitor-sample-tick", "micro/native-mailbox-send", "micro/native-mailbox-fanin", "micro/trace-emit",
+	} {
 		if a := rec[key].AllocsPerOp; a >= 1 {
 			t.Fatalf("%s allocates %.2f per op, want amortized zero", key, a)
 		}
