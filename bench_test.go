@@ -456,47 +456,11 @@ func BenchmarkNativeSendLatency(b *testing.B) { perfstat.BenchNativeMailboxSend(
 // on one one-message inbox (perfstat's micro/native-mailbox-fanin body).
 func BenchmarkNativeFanIn(b *testing.B) { perfstat.BenchNativeMailboxFanIn(b) }
 
-// BenchmarkEntropyDecode measures the Fetch stage's core work: Huffman
-// decoding a full frame's scan into coefficient blocks.
-func BenchmarkEntropyDecode(b *testing.B) {
-	frame, err := mjpeg.Encode(mjpeg.SynthFrame(exp.RefW, exp.RefH, 1),
-		mjpeg.EncodeOptions{Quality: exp.RefQuality})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := mjpeg.ParseFrame(frame)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(h.ScanBytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.DecodeBlocks(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// BenchmarkEntropyDecode measures the Fetch stage's core work: parsing a
+// reference picture and Huffman decoding its scan into coefficient blocks
+// (perfstat's micro/mjpeg-fetch body).
+func BenchmarkEntropyDecode(b *testing.B) { perfstat.BenchMJPEGFetch(b) }
 
-// BenchmarkIDCTStage measures the IDCT stage: dequantize + inverse DCT of a
-// frame's worth of blocks.
-func BenchmarkIDCTStage(b *testing.B) {
-	frame, err := mjpeg.Encode(mjpeg.SynthFrame(exp.RefW, exp.RefH, 1),
-		mjpeg.EncodeOptions{Quality: exp.RefQuality})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := mjpeg.ParseFrame(frame)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blocks, err := h.DecodeBlocks()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range blocks {
-			_ = h.TransformBlock(&blocks[j])
-		}
-	}
-}
+// BenchmarkIDCTStage measures the IDCT stage on one block: dequantize,
+// inverse DCT and level shift (perfstat's micro/mjpeg-idct body).
+func BenchmarkIDCTStage(b *testing.B) { perfstat.BenchMJPEGIDCT(b) }

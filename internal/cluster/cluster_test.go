@@ -280,6 +280,52 @@ func TestTwoWorkerPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRelayQueuesReportDepthAndHighWater runs the MJPEG decoder on two
+// workers: every shard that receives a cross-shard edge must report a
+// relay high-water of at least one frame, and every relay queue must be
+// drained once the run is over.
+func TestRelayQueuesReportDepthAndHighWater(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	run, err := exp.Run(platform.MustGet("cluster"), platform.MustGetWorkload("mjpeg"),
+		exp.Options{Options: platform.Options{Scale: 12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok := run.Machine.(interface {
+		ShardOf(name string) int
+		RelayQueues() []cluster.RelayQueue
+	})
+	if !ok {
+		t.Fatal("cluster machine does not expose RelayQueues")
+	}
+	receives := map[int]bool{}
+	for _, c := range run.App.Components() {
+		for _, cn := range c.Connections() {
+			if from, to := m.ShardOf(c.Name()), m.ShardOf(cn.To); from != to {
+				receives[to] = true
+			}
+		}
+	}
+	if len(receives) == 0 {
+		t.Fatal("no MJPEG edge crosses shards")
+	}
+	qs := m.RelayQueues()
+	if len(qs) < 2 {
+		t.Fatalf("%d relay queues, want one per worker shard", len(qs))
+	}
+	for _, q := range qs {
+		if q.Depth != (cluster.QueueDepth{}) {
+			t.Errorf("shard %d relay queue still holds %+v after the run", q.Shard, q.Depth)
+		}
+		if receives[q.Shard] && (q.Peak.Frames < 1 || q.Peak.Bytes < q.Peak.Frames) {
+			t.Errorf("shard %d receives cross-shard edges but its relay high-water is %+v", q.Shard, q.Peak)
+		}
+		t.Logf("shard %d relay queue: depth %+v, high-water %+v", q.Shard, q.Depth, q.Peak)
+	}
+}
+
 // TestWorkerKillMidRunFailsCleanly kills the worker owning the pipeline
 // Source mid-run: Run must return promptly with an error naming the worker
 // (counting any in-flight losses), not hang and not double-close anything.

@@ -168,6 +168,32 @@ func (m *Machine) ShardOf(name string) int {
 // or addressed to a worker that died. Zero on a clean run.
 func (m *Machine) LostFrames() uint64 { return m.lost.Load() }
 
+// RelayQueue is the coordinator's outbound relay queue toward one worker
+// shard: every frame relayed to the shard waits there for its writer.
+type RelayQueue struct {
+	Shard int
+	Depth QueueDepth // occupancy now
+	Peak  QueueDepth // high-water marks since Run connected the shard
+}
+
+// RelayQueues reports every destination shard's relay queue, indexed by
+// shard; nil until Run has connected the workers. A closed queue — its
+// worker gone — reads an empty depth, its residue counted in LostFrames.
+func (m *Machine) RelayQueues() []RelayQueue {
+	m.mu.Lock()
+	links := m.links
+	m.mu.Unlock()
+	if links == nil {
+		return nil
+	}
+	qs := make([]RelayQueue, len(links))
+	for s, l := range links {
+		qs[s].Shard = s
+		qs[s].Depth, qs[s].Peak = l.out.depth()
+	}
+	return qs
+}
+
 // WireFrames reports how many data frames the coordinator relayed for the
 // edge leaving from's required interface iface, and whether that edge
 // crosses shards at all. Conformance counts these against the producer's

@@ -13,13 +13,29 @@ import (
 // explicit backpressure tradeoff: data frames still see end-to-end
 // backpressure through the producing component's blocking transport write,
 // but control frames ride through without ordering inversions or lock
-// cycles.
+// cycles. The queue tracks its depth and high-water mark, in frames and in
+// bytes, so the memory it holds is visible (Machine.RelayQueues).
 type frameQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	buf    []wire.Raw
 	head   int
 	closed bool
+	bytes  int        // encoded bytes queued
+	peak   QueueDepth // high-water marks, each its own maximum
+}
+
+// QueueDepth is an occupancy of a relay queue.
+type QueueDepth struct {
+	Frames int // encoded frames
+	Bytes  int // their encoded bytes
+}
+
+// depth reports the queue's current occupancy and its high-water marks.
+func (q *frameQueue) depth() (now, peak QueueDepth) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return QueueDepth{Frames: len(q.buf) - q.head, Bytes: q.bytes}, q.peak
 }
 
 func newFrameQueue() *frameQueue {
@@ -37,6 +53,9 @@ func (q *frameQueue) push(f wire.Raw) bool {
 		return false
 	}
 	q.buf = append(q.buf, f)
+	q.bytes += len(f)
+	q.peak.Frames = max(q.peak.Frames, len(q.buf)-q.head)
+	q.peak.Bytes = max(q.peak.Bytes, q.bytes)
 	q.cond.Signal()
 	return true
 }
@@ -55,6 +74,7 @@ func (q *frameQueue) pop() (wire.Raw, bool) {
 	f := q.buf[q.head]
 	q.buf[q.head] = nil
 	q.head++
+	q.bytes -= len(f)
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0
@@ -72,7 +92,7 @@ func (q *frameQueue) close() []wire.Raw {
 	}
 	q.closed = true
 	rest := append([]wire.Raw(nil), q.buf[q.head:]...)
-	q.buf, q.head = nil, 0
+	q.buf, q.head, q.bytes = nil, 0, 0
 	q.cond.Broadcast()
 	return rest
 }

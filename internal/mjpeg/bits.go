@@ -29,7 +29,7 @@ import (
 type bitReader struct {
 	data []byte
 	pos  int    // next byte index
-	acc  uint32 // bit accumulator, MSB-first
+	acc  uint64 // bit accumulator, MSB-first: the low n bits are unread
 	n    int    // valid bits in acc
 }
 
@@ -38,34 +38,38 @@ var errScanTruncated = errors.New("mjpeg: truncated entropy-coded data")
 
 func newBitReader(data []byte) *bitReader { return &bitReader{data: data} }
 
-// fill loads one more byte into the accumulator, handling byte stuffing.
+// fill loads one more byte into the accumulator, handling byte stuffing. It
+// never consumes a marker: at a marker — a restart marker reached by
+// over-read included, which the caller resynchronizes on via syncRestart —
+// or at the end of the scan it leaves pos where it is and reports
+// errScanTruncated.
 func (r *bitReader) fill() error {
 	if r.pos >= len(r.data) {
 		return errScanTruncated
 	}
 	b := r.data[r.pos]
-	r.pos++
 	if b == 0xFF {
-		if r.pos >= len(r.data) {
+		if r.pos+1 >= len(r.data) || r.data[r.pos+1] != 0x00 {
 			return errScanTruncated
 		}
-		next := r.data[r.pos]
-		switch {
-		case next == 0x00:
-			r.pos++ // stuffed byte: 0xFF00 decodes to a 0xFF data byte
-		case next >= 0xD0 && next <= 0xD7:
-			// Restart marker reached by over-read; report truncation so the
-			// caller resynchronizes via syncRestart instead.
-			r.pos--
-			return errScanTruncated
-		default:
-			r.pos-- // genuine marker: scan is over
-			return errScanTruncated
-		}
+		r.pos++ // stuffed byte: 0xFF00 decodes to a 0xFF data byte
 	}
-	r.acc = r.acc<<8 | uint32(b)
+	r.pos++
+	r.acc = r.acc<<8 | uint64(b)
 	r.n += 8
 	return nil
+}
+
+// ensure fills ahead until at least k bits (k <= 57) are buffered. It stops
+// short without error at a marker or the end of the scan: only a read that
+// needs the missing bits fails, and it fails exactly where a bit-at-a-time
+// reader would.
+func (r *bitReader) ensure(k int) {
+	for r.n < k {
+		if r.fill() != nil {
+			return
+		}
+	}
 }
 
 // readBit returns the next bit of the scan.
@@ -81,15 +85,14 @@ func (r *bitReader) readBit() (int, error) {
 
 // readBits returns the next n bits MSB-first (n <= 16).
 func (r *bitReader) readBits(n int) (int, error) {
-	v := 0
-	for i := 0; i < n; i++ {
-		bit, err := r.readBit()
-		if err != nil {
-			return 0, err
+	if r.n < n {
+		r.ensure(n)
+		if r.n < n {
+			return 0, errScanTruncated
 		}
-		v = v<<1 | bit
 	}
-	return v, nil
+	r.n -= n
+	return int(r.acc>>uint(r.n)) & (1<<uint(n) - 1), nil
 }
 
 // syncRestart aligns to the next restart marker RSTn and consumes it,
@@ -113,9 +116,6 @@ func (r *bitReader) syncRestart() (int, error) {
 	}
 	return 0, errScanTruncated
 }
-
-// bytesConsumed reports how far into the scan the reader has advanced.
-func (r *bitReader) bytesConsumed() int { return r.pos }
 
 // bitWriter emits an entropy-coded JPEG scan with byte stuffing.
 type bitWriter struct {

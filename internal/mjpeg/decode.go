@@ -316,10 +316,21 @@ type CoeffBlock struct {
 
 // DecodeBlocks entropy-decodes the whole scan into coefficient blocks. It is
 // the Huffman-decoding + pixel-reordering half of the Fetch component.
+//
+// Every block costs at least two bits of scan, a DC and an AC code of at
+// least one bit each, so a scan of n bytes holds at most 4n blocks. A frame
+// whose header declares more is rejected before anything is allocated for
+// it: the header alone cannot size an allocation.
 func (h *FrameHeader) DecodeBlocks() ([]CoeffBlock, error) {
+	total := h.TotalBlocks()
+	if most := 4 * len(h.scan); total > most {
+		return nil, fmt.Errorf("mjpeg: %dx%d frame needs %d blocks, its %d-byte scan holds at most %d",
+			h.Width, h.Height, total, len(h.scan), most)
+	}
 	r := newBitReader(h.scan)
-	blocks := make([]CoeffBlock, 0, h.TotalBlocks())
-	dcPred := make([]int32, len(h.comps))
+	blocks := make([]CoeffBlock, total)
+	var dcPred [3]int32
+	k := 0
 	mcu := 0
 	nextRST := 0
 	for my := 0; my < h.mcusY; my++ {
@@ -333,23 +344,18 @@ func (h *FrameHeader) DecodeBlocks() ([]CoeffBlock, error) {
 					return nil, fmt.Errorf("mjpeg: restart marker %d, expected %d", got, nextRST)
 				}
 				nextRST = (nextRST + 1) & 7
-				for i := range dcPred {
-					dcPred[i] = 0
-				}
+				dcPred = [3]int32{}
 			}
 			for ci := range h.comps {
 				c := &h.comps[ci]
 				for v := 0; v < c.V; v++ {
 					for hh := 0; hh < c.H; hh++ {
-						b := CoeffBlock{
-							Comp: ci,
-							BX:   mx*c.H + hh,
-							BY:   my*c.V + v,
-						}
+						b := &blocks[k]
+						k++
+						b.Comp, b.BX, b.BY = ci, mx*c.H+hh, my*c.V+v
 						if err := h.decodeBlock(r, ci, &dcPred[ci], &b.Coeff); err != nil {
 							return nil, fmt.Errorf("mjpeg: MCU (%d,%d) comp %d: %w", mx, my, ci, err)
 						}
-						blocks = append(blocks, b)
 					}
 				}
 			}
@@ -469,8 +475,9 @@ func (h *FrameHeader) AssembleFrame(blocks []PixelBlock) (*Image, error) {
 		}
 		seen[b.Comp][idx] = true
 		stride := c.blocksX * 8
+		plane := planes[b.Comp][b.BY*8*stride+b.BX*8:]
 		for y := 0; y < 8; y++ {
-			copy(planes[b.Comp][(b.BY*8+y)*stride+b.BX*8:], b.Pix[y*8:y*8+8])
+			*(*[8]byte)(plane[y*stride:]) = *(*[8]byte)(b.Pix[y*8:])
 		}
 	}
 
@@ -483,20 +490,29 @@ func (h *FrameHeader) AssembleFrame(blocks []PixelBlock) (*Image, error) {
 		return im, nil
 	}
 
-	im := NewRGB(h.Width, h.Height)
-	for y := 0; y < h.Height; y++ {
-		for x := 0; x < h.Width; x++ {
-			var s [3]byte
-			for ci := range h.comps {
-				c := &h.comps[ci]
-				sx := x * c.H / h.maxH
-				sy := y * c.V / h.maxV
-				s[ci] = planes[ci][sy*c.blocksX*8+sx]
-			}
-			r, g, b := ycbcrToRGB(s[0], s[1], s[2])
-			i := 3 * (y*im.W + x)
-			im.Pix[i], im.Pix[i+1], im.Pix[i+2] = r, g, b
+	// Color-convert row by row. Sampling factors are 1 or 2 (check), so a
+	// component sampled below the frame's maximum is read at x>>1 or y>>1
+	// and one at the maximum at x or y: per-frame shifts instead of a
+	// division per sample.
+	var sx, sy [3]uint
+	for ci := range h.comps {
+		c := &h.comps[ci]
+		if c.H < h.maxH {
+			sx[ci] = 1
 		}
+		if c.V < h.maxV {
+			sy[ci] = 1
+		}
+	}
+	im := NewRGB(h.Width, h.Height)
+	var rows [3][]byte
+	for y := 0; y < h.Height; y++ {
+		for ci := range rows {
+			stride := h.comps[ci].blocksX * 8
+			at := (y >> sy[ci]) * stride
+			rows[ci] = planes[ci][at : at+stride]
+		}
+		ycbcrRowToRGB(im.Pix[3*y*im.W:3*(y+1)*im.W], rows, sx)
 	}
 	return im, nil
 }

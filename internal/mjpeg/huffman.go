@@ -5,11 +5,26 @@ import (
 	"fmt"
 )
 
+// lookupBits is the width of a huffDecoder's lookup table index. The
+// standard tables give the common symbols — EOB, short runs, small
+// magnitudes — codes of at most 9 bits.
+const lookupBits = 9
+
 // huffDecoder decodes Huffman symbols from a bitReader. It is built from a
 // DHT specification using the canonical-code construction of T.81 Annex C:
 // codes of each length are consecutive, starting from (previous first code +
 // previous count) << 1.
+//
+// Decoding peeks lookupBits bits and indexes lookup with them: every prefix
+// that begins with a code of at most lookupBits bits holds that code's
+// length<<8 | symbol, so a hit consumes the code's bits and is done. A zero
+// entry — a longer code, or no code at all — and a peek the scan cannot
+// fill, at its end or at a marker, fall back to the canonical walk of
+// T.81 Annex F.2.2.3, one bit at a time. The fallback is the only place a
+// symbol can fail to decode, so every error comes from the same code
+// whichever path the input takes.
 type huffDecoder struct {
+	lookup [1 << lookupBits]uint16
 	// For each code length l (1..16): firstCode[l] is the smallest code of
 	// that length, firstIndex[l] the index of its symbol in values, and
 	// count[l] the number of codes of that length.
@@ -40,11 +55,28 @@ func newHuffDecoder(spec huffSpec) (*huffDecoder, error) {
 		return nil, fmt.Errorf("mjpeg: Huffman table declares %d symbols but carries %d",
 			total, len(spec.values))
 	}
+	for l := 1; l <= lookupBits; l++ {
+		shift := uint(lookupBits - l)
+		for i := 0; i < d.count[l]; i++ {
+			e := uint16(l<<8) | uint16(d.values[d.firstIndex[l]+i])
+			code := d.firstCode[l] + i
+			for p := code << shift; p < (code+1)<<shift; p++ {
+				d.lookup[p] = e
+			}
+		}
+	}
 	return d, nil
 }
 
 // decode reads one Huffman symbol.
 func (d *huffDecoder) decode(r *bitReader) (byte, error) {
+	r.ensure(lookupBits)
+	if r.n >= lookupBits {
+		if e := d.lookup[r.acc>>uint(r.n-lookupBits)&(1<<lookupBits-1)]; e != 0 {
+			r.n -= int(e >> 8)
+			return byte(e), nil
+		}
+	}
 	code := 0
 	for l := 1; l <= 16; l++ {
 		bit, err := r.readBit()

@@ -64,14 +64,21 @@ func rgbToYCbCr(r, g, b byte) (y, cb, cr byte) {
 	return clamp8(yv), clamp8(cbv), clamp8(crv)
 }
 
-func ycbcrToRGB(y, cb, cr byte) (r, g, b byte) {
-	yv := int32(y)
-	cbv := int32(cb) - 128
-	crv := int32(cr) - 128
-	rr := yv + (91881*crv+32768)>>16
-	gg := yv - (22554*cbv+46802*crv+32768)>>16
-	bb := yv + (116130*cbv+32768)>>16
-	return clamp8(rr), clamp8(gg), clamp8(bb)
+// ycbcrRowToRGB color-converts one row into dst, three bytes a pixel. The
+// Y, Cb and Cr samples of pixel x are src[k][x>>sx[k]]: a shift of 1 reads a
+// horizontally subsampled component.
+func ycbcrRowToRGB(dst []byte, src [3][]byte, sx [3]uint) {
+	yRow, cbRow, crRow := src[0], src[1], src[2]
+	for x := 0; x < len(dst)/3; x++ {
+		yv := int32(yRow[x>>sx[0]])
+		cbv := int32(cbRow[x>>sx[1]]) - 128
+		crv := int32(crRow[x>>sx[2]]) - 128
+		rr := yv + (91881*crv+32768)>>16
+		gg := yv - (22554*cbv+46802*crv+32768)>>16
+		bb := yv + (116130*cbv+32768)>>16
+		px := dst[3*x : 3*x+3 : 3*x+3]
+		px[0], px[1], px[2] = clamp8(rr), clamp8(gg), clamp8(bb)
+	}
 }
 
 // maxAbsDiff returns the largest per-channel absolute difference between two

@@ -6,6 +6,7 @@ import (
 
 	"embera/internal/core"
 	"embera/internal/exp"
+	"embera/internal/mjpeg"
 	"embera/internal/monitor"
 	"embera/internal/platform"
 	"embera/internal/sim"
@@ -132,12 +133,13 @@ func ObservationOverhead(opts HarnessOptions) (Record, error) {
 
 // MicroBenchmarks measures the zero-alloc hot paths — the monitor sample
 // path, the native mailbox send and fan-in paths, the sim kernel event loop
-// and the trace recorder/codec — via testing.Benchmark, and returns them
-// keyed "micro/<path>". Their allocs_per_op entries are the committed
-// invariant: CI diffs them against the baseline, so a change that
-// re-introduces per-operation allocation on any of these paths fails the
-// build. The native micros park goroutines at a scheduling-dependent rate,
-// but a park allocates nothing, so their allocation counts gate too.
+// and the trace recorder/codec — and the MJPEG decoder's three component
+// kernels via testing.Benchmark, and returns them keyed "micro/<path>".
+// Their allocs_per_op entries are the committed invariant: CI diffs them
+// against the baseline, so a change that re-introduces per-operation
+// allocation on any of these paths fails the build. The native micros park
+// goroutines at a scheduling-dependent rate, but a park allocates nothing,
+// so their allocation counts gate too.
 func MicroBenchmarks() Record {
 	rec := Record{}
 	rec["micro/monitor-sample-tick"] = fromBenchmark(testing.Benchmark(BenchMonitorSampleTick))
@@ -146,6 +148,9 @@ func MicroBenchmarks() Record {
 	rec["micro/sim-kernel-send"] = fromBenchmark(testing.Benchmark(BenchSimKernelSend))
 	rec["micro/trace-emit"] = fromBenchmark(testing.Benchmark(benchTraceEmit))
 	rec["micro/trace-write-event"] = fromBenchmark(testing.Benchmark(BenchTraceWrite))
+	rec["micro/mjpeg-fetch"] = fromBenchmark(testing.Benchmark(BenchMJPEGFetch))
+	rec["micro/mjpeg-idct"] = fromBenchmark(testing.Benchmark(BenchMJPEGIDCT))
+	rec["micro/mjpeg-reorder"] = fromBenchmark(testing.Benchmark(BenchMJPEGReorder))
 	return rec
 }
 
@@ -314,3 +319,79 @@ func BenchTraceWrite(b *testing.B) {
 type countWriter struct{ n int }
 
 func (c *countWriter) Write(p []byte) (int, error) { c.n += len(p); return len(p), nil }
+
+// refFrame encodes the reference picture the MJPEG micros decode: picture 1
+// of the reference sequence (128×96, Q75, 4:4:4).
+func refFrame(b *testing.B) []byte {
+	frame, err := mjpeg.Encode(mjpeg.SynthFrame(exp.RefW, exp.RefH, 1),
+		mjpeg.EncodeOptions{Quality: exp.RefQuality})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return frame
+}
+
+// refBlocks parses the reference picture and entropy-decodes it.
+func refBlocks(b *testing.B) (*mjpeg.FrameHeader, []mjpeg.CoeffBlock) {
+	h, err := mjpeg.ParseFrame(refFrame(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocks, err := h.DecodeBlocks()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return h, blocks
+}
+
+// BenchMJPEGFetch measures the Fetch component's work on one reference
+// picture: ParseFrame, then the Huffman decode of its scan into coefficient
+// blocks. One op is one picture.
+func BenchMJPEGFetch(b *testing.B) {
+	frame := refFrame(b)
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := mjpeg.ParseFrame(frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := h.DecodeBlocks(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchMJPEGIDCT measures the IDCT component's work on one block:
+// dequantization, inverse DCT and level shift, cycling through the blocks
+// of the reference picture. One op is one block; it allocates nothing.
+func BenchMJPEGIDCT(b *testing.B) {
+	h, blocks := refBlocks(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pixelSink = h.TransformBlock(&blocks[i%len(blocks)])
+	}
+}
+
+// pixelSink keeps the IDCT micro's result live.
+var pixelSink mjpeg.PixelBlock
+
+// BenchMJPEGReorder measures the Reorder component's work on one reference
+// picture: placing its pixel blocks and color-converting them into an
+// image. One op is one picture.
+func BenchMJPEGReorder(b *testing.B) {
+	h, blocks := refBlocks(b)
+	pix := make([]mjpeg.PixelBlock, len(blocks))
+	for i := range blocks {
+		pix[i] = h.TransformBlock(&blocks[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.AssembleFrame(pix); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

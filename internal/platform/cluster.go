@@ -95,4 +95,8 @@ func (c clusterMachine) WireFrames(from, iface string) (uint64, bool) {
 // worker failure).
 func (c clusterMachine) LostFrames() uint64 { return c.m.LostFrames() }
 
+// RelayQueues exposes the depth and high-water of the coordinator's relay
+// queue toward every worker shard.
+func (c clusterMachine) RelayQueues() []cluster.RelayQueue { return c.m.RelayQueues() }
+
 var _ Interruptible = clusterMachine{}
