@@ -295,6 +295,10 @@ func BenchmarkKernelEvents(b *testing.B) {
 // micro/sim-kernel-send body.
 func BenchmarkSimKernel(b *testing.B) { perfstat.BenchSimKernelSend(b) }
 
+// BenchmarkSimHerd measures one handoff through a one-message box that
+// eight simulated senders contend for (perfstat.BenchSimHerd).
+func BenchmarkSimHerd(b *testing.B) { perfstat.BenchSimHerd(b) }
+
 // BenchmarkTraceCodec measures the binary trace codec per event: one op is
 // one encoded event, each Write call encoding a 4096-event trace
 // (perfstat's micro/trace-write-event body).

@@ -92,9 +92,15 @@ func main() {
 		fmt.Printf(", OS-level every %dµs", *osPeriod)
 	}
 	fmt.Printf("; window %dµs\n", *window)
-	fmt.Printf("samples: %d accepted, %d dropped (ring capacity %d, %d shards); %d windows\n\n",
+	fmt.Printf("samples: %d accepted, %d dropped (ring capacity %d, %d shards); %d windows\n",
 		mon.Samples(), mon.Dropped(), mon.Ring().Capacity(), mon.Ring().Shards(),
 		len(mon.Windows()))
+	if run.Kernel != nil {
+		st := run.Kernel.Stats()
+		fmt.Printf("kernel: %d events, %d switches, %d re-parks\n",
+			st.Dispatched, st.Switches, st.Reparks)
+	}
+	fmt.Println()
 
 	fmt.Print(monitor.FormatTotals(mon.Totals(), mon.Dropped(), mon.SinkErrors()))
 	if *jsonl != "" {

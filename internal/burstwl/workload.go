@@ -118,8 +118,7 @@ func (w *Workload) Build(a *core.App, p platform.Platform, opts platform.Options
 			return nil, err
 		}
 		place(c)
-		for s := 0; s < spec.Servers; s++ {
-			iface := fmt.Sprintf("srv%d", s)
+		for s, iface := range inst.srvIfaces {
 			if err := c.AddRequired(iface); err != nil {
 				return nil, err
 			}
@@ -138,14 +137,19 @@ type instance struct {
 	spec     *Spec
 	expUnits int
 	expSum   uint64
+	// srvIfaces names each client's required interface toward server s.
+	srvIfaces []string
 
 	received atomic.Int64
 	checksum atomic.Uint64
 }
 
 func newInstance(spec *Spec) *instance {
-	inst := &instance{spec: spec}
+	inst := &instance{spec: spec, srvIfaces: make([]string, spec.Servers)}
 	inst.expUnits, inst.expSum = spec.Expected()
+	for s := range inst.srvIfaces {
+		inst.srvIfaces[s] = fmt.Sprintf("srv%d", s)
+	}
 	return inst
 }
 
@@ -160,9 +164,9 @@ func (in *instance) clientBody(c int) core.Body {
 				ctx.SleepUS(gap)
 			}
 			ctx.Compute(clientCost)
-			v := reqValue(spec.Seed, c, q)
+			var req any = reqValue(spec.Seed, c, q) // boxed once for the fan-out
 			for _, srv := range sched.Targets[q] {
-				ctx.Send(fmt.Sprintf("srv%d", srv), v, spec.Bytes)
+				ctx.Send(in.srvIfaces[srv], req, spec.Bytes)
 			}
 		}
 	}

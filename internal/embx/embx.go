@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"embera/internal/os21"
+	"embera/internal/ringbuf"
 	"embera/internal/sim"
 	"embera/internal/sti7200"
 )
@@ -61,7 +62,11 @@ type Object struct {
 	owner int // CPU index whose tasks Receive from this object
 	irq   int
 
+	// buf is head-indexed and resets to its start when drained, like the
+	// sim queues and the smpbind mailbox, so steady traffic reuses one
+	// backing array.
 	buf          []message
+	head         int
 	pendingBytes int64
 	avail        *sim.Semaphore // counts interrupt-delivered messages
 	space        *sim.Signal    // fired when Receive frees buffer room
@@ -161,14 +166,12 @@ func (o *Object) send(t *os21.Task, data []byte, size int, meta any) (sim.Durati
 		return 0, fmt.Errorf("embx: message of %d bytes exceeds object %q size %d",
 			size, o.name, o.size)
 	}
-	for o.pendingBytes+int64(size) > o.size {
-		o.space.Await(t.P)
-		if o.deleted {
-			return 0, fmt.Errorf("embx: object %q deleted while blocked in send", o.name)
-		}
-		if o.closed {
-			return 0, ErrClosed
-		}
+	o.space.AwaitWhile(t.P, (*lacksRoom)(o), int64(size))
+	if o.deleted {
+		return 0, fmt.Errorf("embx: object %q deleted while blocked in send", o.name)
+	}
+	if o.closed {
+		return 0, ErrClosed
 	}
 	start := t.P.Now()
 	t.ChargeTransfer(size)
@@ -177,6 +180,14 @@ func (o *Object) send(t *os21.Task, data []byte, size int, meta any) (sim.Durati
 	o.sends++
 	o.tr.chip.Intc.Raise(o.owner, o.irq)
 	return sim.Duration(t.P.Now() - start), nil
+}
+
+// lacksRoom is the Blocker of a blocked send: the live, open object has no
+// room for the sender's need bytes.
+type lacksRoom Object
+
+func (o *lacksRoom) Blocked(need int64) bool {
+	return !o.deleted && !o.closed && o.pendingBytes+need > o.size
 }
 
 // Receive reads the oldest write from the distributed object (EMBX_Receive),
@@ -199,14 +210,14 @@ func (o *Object) ReceiveMeta(t *os21.Task) (data []byte, meta any, fromCPU int, 
 		if o.deleted {
 			return nil, nil, 0, 0, fmt.Errorf("embx: receive on deleted object %q", o.name)
 		}
-		if len(o.buf) > 0 && o.avail.TryWait() {
+		if o.buffered() && o.avail.TryWait() {
 			break
 		}
-		if o.closed && len(o.buf) == 0 {
+		if o.closed && !o.buffered() {
 			return nil, nil, 0, 0, ErrClosed
 		}
 		o.avail.Wait(t.P)
-		if len(o.buf) > 0 {
+		if o.buffered() {
 			break
 		}
 		if o.closed || o.deleted {
@@ -220,8 +231,8 @@ func (o *Object) ReceiveMeta(t *os21.Task) (data []byte, meta any, fromCPU int, 
 		// bookkeeping bug.
 		panic(fmt.Sprintf("embx: object %q woke with no message and not closed", o.name))
 	}
-	msg := o.buf[0]
-	o.buf = o.buf[1:]
+	msg, buf, head := ringbuf.PopFront(o.buf, o.head)
+	o.buf, o.head = buf, head
 	o.pendingBytes -= int64(msg.size)
 	o.receives++
 	start := t.P.Now()
@@ -229,6 +240,9 @@ func (o *Object) ReceiveMeta(t *os21.Task) (data []byte, meta any, fromCPU int, 
 	o.space.Fire()
 	return msg.data, msg.meta, msg.from, sim.Duration(t.P.Now() - start), nil
 }
+
+// buffered reports whether a written message awaits its reader.
+func (o *Object) buffered() bool { return len(o.buf) > o.head }
 
 // Close marks the object closed: senders get ErrClosed, and receivers drain
 // buffered messages then get ErrClosed. Used by the EMBera binding when the

@@ -2,6 +2,9 @@ package embx
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"embera/internal/os21"
@@ -371,5 +374,89 @@ func TestFIFOOrderAcrossSenders(t *testing.T) {
 		if got[i] != i {
 			t.Fatalf("out of order: %v", got)
 		}
+	}
+}
+
+// herd runs eight sender tasks that each write msgs messages into one
+// object with room for a single one, read by one task. It returns the
+// senders in the order the reader got their messages, the kernel's
+// counters and the mallocs the run made.
+func herd(t *testing.T, msgs int) (order []int, st sim.KernelStats, mallocs uint64) {
+	t.Helper()
+	f := newFixture(t)
+	const senders, size = 8, 1024
+	obj, err := f.tr.CreateObject("herd", 1, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order = make([]int, 0, senders*msgs)
+	if _, err := f.acc.CreateTask("recv", os21.TaskAttr{}, func(task *os21.Task) {
+		for range senders * msgs {
+			_, meta, _, _, err := obj.ReceiveMeta(task)
+			if err != nil {
+				panic(err)
+			}
+			order = append(order, meta.(int))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < senders; i++ {
+		var from any = i
+		if _, err := f.host.CreateTask(fmt.Sprintf("send%d", i), os21.TaskAttr{}, func(task *os21.Task) {
+			for range msgs {
+				if _, err := obj.SendOpaque(task, size, from); err != nil {
+					panic(err)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if err := f.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	return order, f.k.Stats(), m1.Mallocs - m0.Mallocs
+}
+
+// TestSenderHerd: eight senders blocked on one full object are all woken
+// by every read, and all but one wait again. The kernel re-parks those
+// without switching into them; the admission order and the event stream
+// stay what they were when every one of them switched in, and a blocked
+// send allocates nothing.
+func TestSenderHerd(t *testing.T) {
+	order, st, _ := herd(t, 3)
+	h := fnv.New64a()
+	for _, s := range order {
+		fmt.Fprintf(h, "%d,", s)
+	}
+	// Pinned from the kernel that switched into every woken sender: the
+	// order, the events it scheduled and its 133 switches, now 11 re-parks
+	// and 122 switches.
+	const (
+		wantOrder    = 0x42bcb89f32af97b5
+		wantSchedule = 214
+		wantResumes  = 133
+		wantReparks  = 11
+	)
+	if h.Sum64() != wantOrder {
+		t.Errorf("admission order %v moved (fnv %#x)", order, h.Sum64())
+	}
+	if st.Scheduled != wantSchedule || st.Switches+st.Reparks != wantResumes || st.Reparks != wantReparks {
+		t.Errorf("kernel counters %+v, want %d scheduled, %d resumes, %d re-parked",
+			st, wantSchedule, wantResumes, wantReparks)
+	}
+
+	_, short, few := herd(t, 50)
+	_, long, many := herd(t, 550)
+	if long.Reparks <= short.Reparks {
+		t.Fatalf("re-parks did not grow with the herd: %d then %d", short.Reparks, long.Reparks)
+	}
+	if perSend := float64(int64(many)-int64(few)) / (8 * 500); perSend > 0.01 {
+		t.Fatalf("a blocked send allocates %.3f times, want 0", perSend)
 	}
 }

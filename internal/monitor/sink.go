@@ -1,8 +1,11 @@
 package monitor
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
+	"math/bits"
 	"sync"
 
 	"embera/internal/core"
@@ -39,22 +42,37 @@ type CounterAttacher interface {
 	AttachCounters(c LossCounters)
 }
 
-// memChunk is the MemorySink's full chunk size in windows (~300 KB of
-// WindowStats).
-const memChunk = 256
+// Arena chunk sizes of the MemorySink: the first chunk holds
+// memChunkMin bytes and each next one twice its predecessor, up to
+// memChunkMax.
+const (
+	memChunkMin = 512
+	memChunkMax = 64 << 10
+)
+
+// maxWindowBytes bounds one encoded window: eleven varints and two raw
+// floats, plus per histogram a mask, up to histBuckets counts, Total and
+// Max.
+const maxWindowBytes = (11+2*(histBuckets+3))*binary.MaxVarintLen64 + 2*8
 
 // MemorySink retains every window in memory, for tests and for end-of-run
-// reporting (MergeWindows over Windows()). Windows land in chunks whose
-// capacities double from one window up to memChunk, after which every
-// chunk is allocated at full size. A long run therefore never re-grows one
-// slice, and no stored window is copied again until Windows; a short run
-// allocates about half of what appending to one slice would.
+// reporting (MergeWindows over Windows()). A WindowStats is over a kilobyte,
+// almost all of it empty histogram buckets, so the sink keeps windows
+// encoded instead, in a pointer-free byte arena: component names are
+// interned, integers are varints, the rates are raw float64 bits, and each
+// histogram is a mask of its nonzero buckets followed by their counts,
+// Total and Max. Arena chunks grow geometrically from memChunkMin to
+// memChunkMax and a stored window is never copied again, so a short log
+// stays small and a long one never re-grows one buffer.
 type MemorySink struct {
 	mu     sync.Mutex
-	chunks [][]WindowStats // oldest first; only the last has room
-	// inline backs chunks through the eight growing chunks (255 windows),
-	// so a short run allocates no chunk index of its own.
-	inline [8][]WindowStats
+	n      int               // windows stored
+	names  []string          // interned component names, by id
+	ids    map[string]uint64 // component name -> id
+	chunks [][]byte          // the arena, oldest first; only the last has room
+	// inline backs chunks through the growing ones, so a short log
+	// allocates no chunk index of its own.
+	inline [8][]byte
 }
 
 // NewMemorySink creates an empty in-memory sink.
@@ -62,39 +80,139 @@ func NewMemorySink() *MemorySink { return &MemorySink{} }
 
 // WriteWindow implements Sink.
 func (s *MemorySink) WriteWindow(w WindowStats) error {
+	var scratch [maxWindowBytes]byte
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	id, ok := s.ids[w.Component]
+	if !ok {
+		if s.ids == nil {
+			s.ids = make(map[string]uint64)
+		}
+		id = uint64(len(s.names))
+		s.ids[w.Component] = id
+		s.names = append(s.names, w.Component)
+	}
+	rec := appendWindow(scratch[:0], id, &w)
 	last := len(s.chunks) - 1
-	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
-		size := 1
+	if last < 0 || cap(s.chunks[last])-len(s.chunks[last]) < len(rec) {
+		size := memChunkMin
 		if last < 0 {
 			s.chunks = s.inline[:0]
-		} else if size = 2 * cap(s.chunks[last]); size > memChunk {
-			size = memChunk
+		} else {
+			size = min(2*cap(s.chunks[last]), memChunkMax)
 		}
-		s.chunks = append(s.chunks, make([]WindowStats, 0, size))
+		s.chunks = append(s.chunks, make([]byte, 0, max(size, len(rec))))
 		last++
 	}
-	s.chunks[last] = append(s.chunks[last], w)
+	s.chunks[last] = append(s.chunks[last], rec...)
+	s.n++
 	return nil
 }
 
-// Windows returns a copy of the windows received so far, in arrival order.
+// Windows decodes the windows received so far into a fresh slice, in
+// arrival order; it returns nil when there are none.
 func (s *MemorySink) Windows() []WindowStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, c := range s.chunks {
-		n += len(c)
-	}
-	if n == 0 {
+	if s.n == 0 {
 		return nil
 	}
-	out := make([]WindowStats, 0, n)
+	out := make([]WindowStats, s.n)
+	i := 0
 	for _, c := range s.chunks {
-		out = append(out, c...)
+		r := windowReader{b: c}
+		for len(r.b) > 0 {
+			r.window(&out[i], s.names)
+			i++
+		}
 	}
 	return out
+}
+
+// appendWindow encodes w, its component given as the interned id, after
+// buf.
+func appendWindow(buf []byte, id uint64, w *WindowStats) []byte {
+	buf = binary.AppendUvarint(buf, id)
+	buf = binary.AppendVarint(buf, w.StartUS)
+	buf = binary.AppendVarint(buf, w.EndUS)
+	buf = binary.AppendVarint(buf, int64(w.Samples))
+	buf = binary.AppendVarint(buf, w.CoveredUS)
+	buf = binary.AppendUvarint(buf, w.SendOps)
+	buf = binary.AppendUvarint(buf, w.RecvOps)
+	buf = binary.AppendUvarint(buf, w.DeltaSendOps)
+	buf = binary.AppendUvarint(buf, w.DeltaRecvOps)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w.SendRate))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w.RecvRate))
+	buf = binary.AppendVarint(buf, int64(w.DepthHigh))
+	buf = appendHist(buf, &w.DepthHist)
+	buf = appendHist(buf, &w.LatencyHist)
+	return binary.AppendVarint(buf, w.MemHigh)
+}
+
+// appendHist encodes h after buf: the mask of its nonzero buckets, their
+// counts in bucket order, Total and Max.
+func appendHist(buf []byte, h *Hist) []byte {
+	var mask uint64
+	for i, c := range h.Counts {
+		if c != 0 {
+			mask |= 1 << i
+		}
+	}
+	buf = binary.AppendUvarint(buf, mask)
+	for m := mask; m != 0; m &= m - 1 {
+		buf = binary.AppendUvarint(buf, h.Counts[bits.TrailingZeros64(m)])
+	}
+	buf = binary.AppendUvarint(buf, h.Total)
+	return binary.AppendVarint(buf, h.Max)
+}
+
+// windowReader decodes what appendWindow wrote. The arena is the sink's
+// own, so it trusts the bytes.
+type windowReader struct{ b []byte }
+
+func (r *windowReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *windowReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *windowReader) float() float64 {
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return v
+}
+
+// window decodes the next window into w, which must be zero.
+func (r *windowReader) window(w *WindowStats, names []string) {
+	w.Component = names[r.uvarint()]
+	w.StartUS = r.varint()
+	w.EndUS = r.varint()
+	w.Samples = int(r.varint())
+	w.CoveredUS = r.varint()
+	w.SendOps = r.uvarint()
+	w.RecvOps = r.uvarint()
+	w.DeltaSendOps = r.uvarint()
+	w.DeltaRecvOps = r.uvarint()
+	w.SendRate = r.float()
+	w.RecvRate = r.float()
+	w.DepthHigh = int(r.varint())
+	r.hist(&w.DepthHist)
+	r.hist(&w.LatencyHist)
+	w.MemHigh = r.varint()
+}
+
+func (r *windowReader) hist(h *Hist) {
+	for m := r.uvarint(); m != 0; m &= m - 1 {
+		h.Counts[bits.TrailingZeros64(m)] = r.uvarint()
+	}
+	h.Total = r.uvarint()
+	h.Max = r.varint()
 }
 
 // WindowRecord is the flat export schema of one component's window: the

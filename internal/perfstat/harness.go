@@ -133,7 +133,7 @@ func ObservationOverhead(opts HarnessOptions) (Record, error) {
 
 // MicroBenchmarks measures the zero-alloc hot paths — the monitor sample
 // path, the native mailbox send and fan-in paths, the sim kernel event loop
-// and the trace recorder/codec — and the MJPEG decoder's three component
+// and its sender herd, and the trace recorder/codec — and the MJPEG decoder's three component
 // kernels via testing.Benchmark, and returns them keyed "micro/<path>".
 // Their allocs_per_op entries are the committed invariant: CI diffs them
 // against the baseline, so a change that re-introduces per-operation
@@ -146,6 +146,7 @@ func MicroBenchmarks() Record {
 	rec["micro/native-mailbox-send"] = fromBenchmark(testing.Benchmark(BenchNativeMailboxSend))
 	rec["micro/native-mailbox-fanin"] = fromBenchmark(testing.Benchmark(BenchNativeMailboxFanIn))
 	rec["micro/sim-kernel-send"] = fromBenchmark(testing.Benchmark(BenchSimKernelSend))
+	rec["micro/sim-herd"] = fromBenchmark(testing.Benchmark(BenchSimHerd))
 	rec["micro/trace-emit"] = fromBenchmark(testing.Benchmark(benchTraceEmit))
 	rec["micro/trace-write-event"] = fromBenchmark(testing.Benchmark(BenchTraceWrite))
 	rec["micro/mjpeg-fetch"] = fromBenchmark(testing.Benchmark(BenchMJPEGFetch))
@@ -276,6 +277,57 @@ func BenchSimKernelSend(b *testing.B) {
 			if _, ok := q.Get(p); !ok {
 				return
 			}
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// herdBox is a one-message box gated by two broadcast signals, the shape of
+// the simulated bindings' mailboxes: a take fires space and wakes every
+// blocked sender, and all but the first find the box full again.
+type herdBox struct {
+	full        bool
+	space, data *sim.Signal
+}
+
+// Blocked is a sender's wait condition: the box is full.
+func (h *herdBox) Blocked(int64) bool { return h.full }
+
+// herdEmpty is the receiver's wait condition: the box is empty.
+type herdEmpty herdBox
+
+func (h *herdEmpty) Blocked(int64) bool { return !h.full }
+
+// BenchSimHerd measures one handoff through a herdBox that eight senders
+// contend for: the receiver's take wakes all of them, one fills the box and
+// the kernel re-parks the rest without switching into them.
+func BenchSimHerd(b *testing.B) {
+	const senders = 8
+	k := sim.NewKernel()
+	box := &herdBox{space: sim.NewSignal(k, "space"), data: sim.NewSignal(k, "data")}
+	n := b.N
+	for i := 0; i < senders; i++ {
+		share := n / senders
+		if i < n%senders {
+			share++
+		}
+		k.Spawn(fmt.Sprintf("send%d", i), func(p *sim.Proc) {
+			for range share {
+				box.space.AwaitWhile(p, box, 0)
+				box.full = true
+				box.data.Fire()
+			}
+		})
+	}
+	k.Spawn("recv", func(p *sim.Proc) {
+		for range n {
+			box.data.AwaitWhile(p, (*herdEmpty)(box), 0)
+			box.full = false
+			box.space.Fire()
 		}
 	})
 	b.ReportAllocs()

@@ -52,8 +52,8 @@ func TestObservationOverheadUnknownNames(t *testing.T) {
 // TestMicroBenchmarksZeroAllocPaths runs the micro harness (at the small
 // automatic b.N testing.Benchmark settles on) and asserts the zero-alloc
 // invariants hold on the acceptance paths: the monitor sample tick, the
-// native mailbox send and fan-in, the trace recorder and the MJPEG IDCT
-// stage. The native micros gate like the rest: parking allocates nothing.
+// native mailbox send and fan-in, the sim kernel's send and sender herd,
+// the trace recorder and the MJPEG IDCT stage. The native micros gate like the rest: parking allocates nothing.
 func TestMicroBenchmarksZeroAllocPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micro harness is seconds-long; skipped under -short")
@@ -61,7 +61,7 @@ func TestMicroBenchmarksZeroAllocPaths(t *testing.T) {
 	rec := MicroBenchmarks()
 	for _, key := range []string{
 		"micro/monitor-sample-tick", "micro/native-mailbox-send", "micro/native-mailbox-fanin",
-		"micro/sim-kernel-send", "micro/trace-emit", "micro/trace-write-event",
+		"micro/sim-kernel-send", "micro/sim-herd", "micro/trace-emit", "micro/trace-write-event",
 		"micro/mjpeg-fetch", "micro/mjpeg-idct", "micro/mjpeg-reorder",
 	} {
 		e, ok := rec[key]
@@ -77,7 +77,7 @@ func TestMicroBenchmarksZeroAllocPaths(t *testing.T) {
 	}
 	for _, key := range []string{
 		"micro/monitor-sample-tick", "micro/native-mailbox-send", "micro/native-mailbox-fanin", "micro/trace-emit",
-		"micro/mjpeg-idct",
+		"micro/mjpeg-idct", "micro/sim-kernel-send", "micro/sim-herd",
 	} {
 		if a := rec[key].AllocsPerOp; a >= 1 {
 			t.Fatalf("%s allocates %.2f per op, want amortized zero", key, a)

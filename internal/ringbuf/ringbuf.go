@@ -1,8 +1,9 @@
 // Package ringbuf holds the one FIFO idiom every hot queue in this
 // repository shares: a head-indexed slice that appends at the tail, pops by
 // advancing the head, resets to its start when drained, and compacts when
-// the dead prefix dominates. The sim kernel's queues and waiter lists, the
-// native mailboxes and the smpbind mailbox all pop through PopFront, so the
+// the dead prefix dominates. The sim kernel's same-instant event queue,
+// queues and waiter lists, the native mailboxes, the smpbind mailbox and
+// the EMBX objects all pop through PopFront, so the
 // amortized-O(1), O(depth)-memory guarantee (and any future fix to it)
 // lives in exactly one place.
 package ringbuf

@@ -9,19 +9,42 @@
 // this repository bit-reproducible.
 //
 // The design follows the classic process-oriented discrete-event style
-// (SimPy, OMNeT++): an event heap ordered by (time, sequence) drives
-// callbacks, and each process is a coroutine (iter.Pull) that the kernel
-// resumes with one direct switch and that switches back whenever it blocks
-// on virtual time or on a synchronization object (Queue, Semaphore,
-// Resource, Signal). Shutdown ends a run: it drops the pending events and
-// unwinds every process still live, so no coroutine outlives its kernel.
+// (SimPy, OMNeT++): events ordered by (time, sequence) drive callbacks, and
+// each process is a coroutine (iter.Pull) that the kernel resumes with one
+// direct switch and that switches back whenever it blocks on virtual time
+// or on a synchronization object (Queue, Semaphore, Resource, Signal).
+// Shutdown ends a run: it drops the pending events and unwinds every
+// process still live, so no coroutine outlives its kernel.
+//
+// Two shortcuts keep host time for the processes that can make progress,
+// and neither moves the schedule:
+//
+//   - Same-instant queue. Most events are scheduled with zero delay: every
+//     wake's resume, YieldTurn, At(0, …), a Spawn's start. They go to a
+//     FIFO instead of the heap. Such an event is scheduled once the clock
+//     has reached now, so its sequence number is larger than that of every
+//     heap event due now; dispatching heap events due now first, then the
+//     FIFO, then advancing the clock replays the (time, sequence) order
+//     exactly.
+//   - Kernel-side re-parking. A blocked process waits in a loop,
+//     `for b.Blocked(arg) { park }` (see Blocker). When its resume comes up
+//     and the condition still holds — a broadcast woke it but another
+//     process took the room first — the kernel runs that loop iteration
+//     itself: the same waiter-list append and the same park, with no switch
+//     into the coroutine. The resume is still dispatched at its place in the
+//     order, so the event stream is the one a switch would have produced. A
+//     killed process, and every process while a tracer is installed, takes
+//     the real switch.
+//
+// Kernel.Stats counts the events and how each resume was served.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 	"sort"
+
+	"embera/internal/ringbuf"
 )
 
 // Time is an absolute virtual time stamp in nanoseconds since the start of
@@ -83,36 +106,91 @@ type event struct {
 	kind uint8
 }
 
-// eventHeap is a min-heap on (at, seq).
+// before orders events by (at, seq): the kernel's dispatch order.
+func (ev *event) before(o *event) bool {
+	return ev.at < o.at || (ev.at == o.at && ev.seq < o.seq)
+}
+
+// eventHeap is a binary min-heap on (at, seq). Its sift functions are typed,
+// so pushing and popping neither boxes events in interfaces nor dispatches
+// through heap.Interface.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	s[i] = ev
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
+
+// pop removes and returns the earliest event. The heap must not be empty.
+func (h *eventHeap) pop() *event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s[r].before(s[child]) {
+			child = r
+		}
+		if !s[child].before(last) {
+			break
+		}
+		s[i] = s[child]
+		i = child
+	}
+	s[i] = last
+	return top
 }
 
 // Kernel is a discrete-event simulation engine. The zero value is not usable;
 // construct kernels with NewKernel.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
+	now    Time
+	seq    uint64
+	events eventHeap // events scheduled with a nonzero delay
+	// nowq is the same-instant queue: a head-indexed FIFO of the events
+	// scheduled with zero delay. They are all due now (the clock never
+	// advances while it holds one, so it also drains and resets at every
+	// instant), and they dispatch after every heap event due now, which is
+	// exactly their (at, seq) place.
+	nowq    []*event
+	nowHead int
 	free    []*event // recycled event structs for the hot scheduling loop
 	procs   map[*Proc]struct{}
 	spawned uint64 // processes ever spawned; numbers them in spawn order
 	tracer  func(t Time, format string, args ...any)
+	stats   KernelStats
+}
+
+// KernelStats counts a kernel's work since NewKernel. Scheduled and
+// Dispatched are the event stream; Switches + Reparks is the number of
+// resumes that found their process still ready, split by how the kernel
+// served them.
+type KernelStats struct {
+	Scheduled  uint64 // events scheduled: At, wakes, resumes, process starts
+	Dispatched uint64 // events RunUntil dequeued and ran
+	Switches   uint64 // resumes that switched into the process's coroutine
+	Reparks    uint64 // resumes the kernel re-parked: the wait still held
 }
 
 // heapHint pre-sizes the event heap and bounds the free list: past this many
@@ -129,6 +207,13 @@ func NewKernel() *Kernel {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
+
+// Stats reports the kernel's event and resume counters.
+func (k *Kernel) Stats() KernelStats {
+	st := k.stats
+	st.Scheduled = k.seq
+	return st
+}
 
 // SetTracer installs a debug tracer invoked on process state transitions.
 // A nil tracer disables tracing.
@@ -171,7 +256,11 @@ func (k *Kernel) schedule(d Duration, kind uint8, fn func(), p *Proc, pseq uint6
 		ev = new(event)
 	}
 	ev.at, ev.seq, ev.fn, ev.p, ev.pseq, ev.kind = k.now+Time(d), k.seq, fn, p, pseq, kind
-	heap.Push(&k.events, ev)
+	if d == 0 {
+		k.nowq = append(k.nowq, ev)
+	} else {
+		k.events.push(ev)
+	}
 }
 
 // recycle returns a dispatched event to the free list.
@@ -241,7 +330,11 @@ func (k *Kernel) dispatch(kind uint8, fn func(), p *Proc, pseq uint64) {
 		if p.state != StateReady || p.parkSeq != pseq {
 			return // superseded: the process moved on in the meantime
 		}
+		if k.repark(p) {
+			return
+		}
 		p.state = StateRunning
+		k.stats.Switches++
 		if k.tracer != nil {
 			k.trace("resume %s", p.name)
 		}
@@ -260,22 +353,35 @@ func (k *Kernel) Run() error {
 // *DeadlockError if the event queue drains while processes are still parked,
 // and nil otherwise (including when the limit cuts the run short).
 func (k *Kernel) RunUntil(limit Time) error {
-	for len(k.events) > 0 {
-		ev := k.events[0]
-		if ev.at > limit {
-			k.now = limit
-			return nil
+	for {
+		var ev *event
+		switch {
+		case len(k.events) > 0 && k.events[0].at == k.now:
+			// A heap event due now was scheduled before the clock got
+			// here, so it precedes every same-instant event.
+			ev = k.events.pop()
+		case k.nowHead < len(k.nowq):
+			ev, k.nowq, k.nowHead = ringbuf.PopFront(k.nowq, k.nowHead)
+		case len(k.events) > 0:
+			if k.events[0].at > limit {
+				k.now = limit
+				return nil
+			}
+			ev = k.events.pop()
+			if ev.at < k.now {
+				panic("sim: event queue time went backwards")
+			}
+			k.now = ev.at
 		}
-		heap.Pop(&k.events)
-		if ev.at < k.now {
-			panic("sim: event queue time went backwards")
+		if ev == nil {
+			break
 		}
-		k.now = ev.at
 		kind, fn, p, pseq := ev.kind, ev.fn, ev.p, ev.pseq
 		// Recycle before dispatch: once its fields are saved the struct
 		// carries no live state, and the dispatched work may schedule (and
 		// so reuse) events.
 		k.recycle(ev)
+		k.stats.Dispatched++
 		k.dispatch(kind, fn, p, pseq)
 	}
 	var parked []string
@@ -292,7 +398,7 @@ func (k *Kernel) RunUntil(limit Time) error {
 }
 
 // Pending reports the number of scheduled, not-yet-executed events.
-func (k *Kernel) Pending() int { return len(k.events) }
+func (k *Kernel) Pending() int { return len(k.events) + len(k.nowq) - k.nowHead }
 
 // Live reports the number of processes that have been spawned and have not
 // yet terminated.
@@ -349,6 +455,11 @@ func (k *Kernel) Shutdown() {
 	}
 	clear(k.events)
 	k.events = k.events[:0]
+	for _, ev := range k.nowq[k.nowHead:] {
+		k.recycle(ev)
+	}
+	clear(k.nowq)
+	k.nowq, k.nowHead = k.nowq[:0], 0
 	if panicked != nil {
 		panic(panicked)
 	}

@@ -45,12 +45,18 @@ type Proc struct {
 	// next resumes the process's coroutine until it suspends or returns;
 	// stop unwinds a suspended one; yield, called by the coroutine,
 	// suspends it and reports false once stop was called.
-	next        func() (struct{}, bool)
-	stop        func()
-	yield       func(struct{}) bool
-	state       State
-	parkSeq     uint64 // incremented on every park; guards against stale wakes
-	waitReason  string
+	next       func() (struct{}, bool)
+	stop       func()
+	yield      func(struct{}) bool
+	state      State
+	parkSeq    uint64 // incremented on every park; guards against stale wakes
+	waitReason string
+	// blocker, blockArg and blockList describe the wait loop the process
+	// is parked in (waitWhile), nil outside one: the kernel re-tests the
+	// condition when it dispatches the process's resume.
+	blocker     Blocker
+	blockArg    int64
+	blockList   *waiterList
 	panicked    error
 	doneWaiters []*Proc
 	killed      bool
@@ -84,6 +90,46 @@ func (p *Proc) park(reason string) {
 		p.k.trace("park %s: %s", p.name, reason)
 	}
 	p.suspend(reason)
+}
+
+// Blocker is the condition of a wait loop, `for b.Blocked(arg) { park }`.
+// When the kernel dispatches the resume of a process parked in such a loop
+// and finds the condition still holding, it runs the loop's next iteration
+// itself — it puts the process back on the same waiter list and parks it
+// again — instead of switching into the process only for it to do so.
+// Blocked must therefore be a pure read of simulation state. Implementations
+// are long-lived values (the synchronization object, a mailbox), so parking
+// on one allocates nothing; arg carries what the waiter needs of it, such as
+// the bytes a sender wants room for.
+type Blocker interface {
+	Blocked(arg int64) bool
+}
+
+// waitWhile parks p on w for as long as b.Blocked(arg) holds.
+func (p *Proc) waitWhile(w *waiterList, b Blocker, arg int64, reason string) {
+	for b.Blocked(arg) {
+		w.add(p)
+		p.blocker, p.blockArg, p.blockList = b, arg, w
+		p.park(reason)
+		p.blocker, p.blockList = nil, nil
+	}
+}
+
+// repark serves a resume of p in kernel context when p is in a wait loop
+// whose condition still holds, and reports whether it did. It does what the
+// loop's next iteration would: the same waiter-list append at the same
+// moment, a new park with the same reason, and no other effect. A killed
+// process must unwind through its coroutine, and a traced one must log its
+// resume and park, so both take the real switch.
+func (k *Kernel) repark(p *Proc) bool {
+	if p.blocker == nil || p.killed || k.tracer != nil || !p.blocker.Blocked(p.blockArg) {
+		return false
+	}
+	p.blockList.add(p)
+	p.parkSeq++
+	p.state = StateParked
+	k.stats.Reparks++
+	return true
 }
 
 // suspend switches back to the kernel with the process parked and returns

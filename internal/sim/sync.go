@@ -56,13 +56,7 @@ func (q *Queue[T]) Stats() (puts, gets uint64, maxDepth int) {
 // Put appends v, blocking p while the queue is at capacity. Putting into a
 // closed queue panics, mirroring Go channel semantics.
 func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.cap > 0 && q.Len() >= q.cap {
-		if q.closed {
-			panic(fmt.Sprintf("sim: put on closed queue %q", q.name))
-		}
-		q.putters.add(p)
-		p.park(q.putReason)
-	}
+	p.waitWhile(&q.putters, (*queueFull[T])(q), 0, q.putReason)
 	if q.closed {
 		panic(fmt.Sprintf("sim: put on closed queue %q", q.name))
 	}
@@ -104,12 +98,9 @@ func (q *Queue[T]) pop() T {
 // empty. When the queue is closed and drained, Get returns the zero value
 // and ok=false.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
-	for q.Len() == 0 {
-		if q.closed {
-			return v, false
-		}
-		q.getters.add(p)
-		p.park(q.getReason)
+	p.waitWhile(&q.getters, (*queueEmpty[T])(q), 0, q.getReason)
+	if q.Len() == 0 {
+		return v, false // closed and drained
 	}
 	v = q.pop()
 	q.putters.wakeOne(q.k)
@@ -139,6 +130,18 @@ func (q *Queue[T]) Close() {
 
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed }
+
+// queueFull is the Blocker of Put: the queue is at capacity and open.
+type queueFull[T any] Queue[T]
+
+func (q *queueFull[T]) Blocked(int64) bool {
+	return q.cap > 0 && len(q.items)-q.head >= q.cap && !q.closed
+}
+
+// queueEmpty is the Blocker of Get: the queue is empty and open.
+type queueEmpty[T any] Queue[T]
+
+func (q *queueEmpty[T]) Blocked(int64) bool { return len(q.items) == q.head && !q.closed }
 
 // waiterList is a FIFO of parked processes. Like the queue item buffer it is
 // head-indexed and resets to its start when drained, so park/wake cycles
@@ -194,12 +197,14 @@ func NewSemaphore(k *Kernel, name string, initial int) *Semaphore {
 
 // Wait decrements the count, blocking p while it is zero (P operation).
 func (s *Semaphore) Wait(p *Proc) {
-	for s.count == 0 {
-		s.waiters.add(p)
-		p.park(s.reason)
-	}
+	p.waitWhile(&s.waiters, (*semZero)(s), 0, s.reason)
 	s.count--
 }
+
+// semZero is the Blocker of Wait: the count is zero.
+type semZero Semaphore
+
+func (s *semZero) Blocked(int64) bool { return s.count == 0 }
 
 // TryWait decrements without blocking and reports success.
 func (s *Semaphore) TryWait() bool {
@@ -222,7 +227,8 @@ func (s *Semaphore) Count() int { return s.count }
 
 // Signal is a broadcast condition: processes park on it and a later Fire
 // wakes all of them. Unlike Semaphore there is no counter; a Fire with no
-// waiters is lost.
+// waiters is lost, and a waiter's own condition says whether a Fire lets it
+// go.
 type Signal struct {
 	k       *Kernel
 	name    string
@@ -235,10 +241,12 @@ func NewSignal(k *Kernel, name string) *Signal {
 	return &Signal{k: k, name: name, reason: "signal " + name}
 }
 
-// Await parks p until the next Fire.
-func (s *Signal) Await(p *Proc) {
-	s.waiters.add(p)
-	p.park(s.reason)
+// AwaitWhile parks p on s for as long as b.Blocked(arg) holds: a Fire that
+// leaves the condition holding parks p again. It is the wait loop
+// `for b.Blocked(arg) { await the next Fire }`, with the condition handed
+// to the kernel so that re-parking costs no switch into p.
+func (s *Signal) AwaitWhile(p *Proc, b Blocker, arg int64) {
+	p.waitWhile(&s.waiters, b, arg, s.reason)
 }
 
 // Fire wakes every currently-parked waiter.

@@ -232,17 +232,23 @@ func TestSemaphoreNegativePanics(t *testing.T) {
 	NewSemaphore(k, "s", -1)
 }
 
+// gate is a Blocker that holds until opened.
+type gate struct{ open bool }
+
+func (g *gate) Blocked(int64) bool { return !g.open }
+
 func TestSignalBroadcast(t *testing.T) {
 	k := NewKernel()
 	sig := NewSignal(k, "go")
+	var g gate
 	woke := 0
 	for i := 0; i < 3; i++ {
 		k.Spawn("waiter", func(p *Proc) {
-			sig.Await(p)
+			sig.AwaitWhile(p, &g, 0)
 			woke++
 		})
 	}
-	k.SpawnAt(10, "firer", func(p *Proc) { sig.Fire() })
+	k.SpawnAt(10, "firer", func(p *Proc) { g.open = true; sig.Fire() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -231,9 +231,7 @@ func (m *mailbox) Send(sender core.Flow, msg core.Message) bool {
 		panic(fmt.Sprintf("smpbind: message of %d bytes can never fit mailbox of %d bytes",
 			msg.Bytes, m.capacity))
 	}
-	for !m.closed && m.pending+int64(msg.Bytes) > m.capacity {
-		m.space.Await(f.t.SimProc)
-	}
+	m.space.AwaitWhile(f.t.SimProc, (*lacksRoom)(m), int64(msg.Bytes))
 	if m.closed {
 		return false
 	}
@@ -254,11 +252,9 @@ func (m *mailbox) Receive(receiver core.Flow) (core.Message, bool) {
 		panic("smpbind: receive from foreign flow type")
 	}
 	p := h.Proc()
-	for len(m.buf) == m.head {
-		if m.closed {
-			return core.Message{}, false
-		}
-		m.data.Await(p)
+	m.data.AwaitWhile(p, (*isEmpty)(m), 0)
+	if len(m.buf) == m.head {
+		return core.Message{}, false // closed and drained
 	}
 	msg, buf, head := ringbuf.PopFront(m.buf, m.head)
 	m.buf, m.head = buf, head
@@ -267,6 +263,17 @@ func (m *mailbox) Receive(receiver core.Flow) (core.Message, bool) {
 	m.space.Fire()
 	return msg, true
 }
+
+// lacksRoom is the Blocker of a blocked Send: the open mailbox has no room
+// for the sender's need bytes.
+type lacksRoom mailbox
+
+func (m *lacksRoom) Blocked(need int64) bool { return !m.closed && m.pending+need > m.capacity }
+
+// isEmpty is the Blocker of a blocked Receive: the open mailbox is empty.
+type isEmpty mailbox
+
+func (m *isEmpty) Blocked(int64) bool { return !m.closed && len(m.buf) == m.head }
 
 // Close implements core.Mailbox.
 func (m *mailbox) Close() {

@@ -1,6 +1,9 @@
 package smpbind_test
 
 import (
+	"fmt"
+	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"embera/internal/core"
@@ -234,5 +237,81 @@ func TestServiceQueueTrafficIsFree(t *testing.T) {
 	noisy := makespan(true)
 	if quiet != noisy {
 		t.Errorf("observer polling changed the application timeline: %d vs %d", quiet, noisy)
+	}
+}
+
+// herd runs eight senders that each push msgs messages through one mailbox
+// with room for a single message, into one receiver. It returns the
+// senders in the order the receiver got their messages, the kernel's
+// counters and the mallocs the run made.
+func herd(t *testing.T, msgs int) (order []int, st sim.KernelStats, mallocs uint64) {
+	t.Helper()
+	a, k, _ := newApp(t)
+	const senders, bytes = 8, 1024
+	order = make([]int, 0, senders*msgs)
+	rx := a.MustNewComponent("rx", func(ctx *core.Ctx) {
+		for {
+			m, ok := ctx.Receive("in")
+			if !ok {
+				return
+			}
+			order = append(order, m.Payload.(int))
+		}
+	}).MustAddProvided("in", bytes)
+	for i := 0; i < senders; i++ {
+		var from any = i
+		tx := a.MustNewComponent(fmt.Sprintf("tx%d", i), func(ctx *core.Ctx) {
+			for j := 0; j < msgs; j++ {
+				ctx.Send("out", from, bytes)
+			}
+		}).MustAddRequired("out")
+		a.MustConnect(tx, "out", rx, "in")
+	}
+	if err := a.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	run(t, k, a)
+	runtime.ReadMemStats(&m1)
+	return order, k.Stats(), m1.Mallocs - m0.Mallocs
+}
+
+// TestSenderHerd: eight senders blocked on one full mailbox are all woken
+// by every receive, and all but the ones that find room wait again. The
+// kernel re-parks those without switching into them; the admission order
+// and the event stream stay what they were when every one of them
+// switched in, and a blocked send allocates nothing.
+func TestSenderHerd(t *testing.T) {
+	order, st, _ := herd(t, 3)
+	h := fnv.New64a()
+	for _, s := range order {
+		fmt.Fprintf(h, "%d,", s)
+	}
+	// Pinned from the kernel that switched into every woken sender: the
+	// order, the events it scheduled and its 136 switches, now 67 re-parks
+	// and 69 switches.
+	const (
+		wantOrder    = 0x8593370260a3cde5
+		wantSchedule = 202
+		wantResumes  = 136
+		wantReparks  = 67
+	)
+	if h.Sum64() != wantOrder {
+		t.Errorf("admission order %v moved (fnv %#x)", order, h.Sum64())
+	}
+	if st.Scheduled != wantSchedule || st.Switches+st.Reparks != wantResumes || st.Reparks != wantReparks {
+		t.Errorf("kernel counters %+v, want %d scheduled, %d resumes, %d re-parked",
+			st, wantSchedule, wantResumes, wantReparks)
+	}
+
+	_, short, few := herd(t, 50)
+	_, long, many := herd(t, 550)
+	if long.Reparks <= short.Reparks {
+		t.Fatalf("re-parks did not grow with the herd: %d then %d", short.Reparks, long.Reparks)
+	}
+	if perSend := float64(int64(many)-int64(few)) / (8 * 500); perSend > 0.01 {
+		t.Fatalf("a blocked send allocates %.3f times, want 0", perSend)
 	}
 }

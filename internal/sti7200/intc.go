@@ -14,11 +14,19 @@ import (
 // Handlers run in kernel context after the configured delivery latency, so
 // they must not block; they typically signal a semaphore to wake a task.
 type InterruptController struct {
-	k        *sim.Kernel
-	latency  sim.Duration
-	handlers []map[int]func() // per CPU: irq -> handler
-	raised   []uint64         // per CPU: delivered interrupt count
-	dropped  []uint64         // per CPU: raised with no handler installed
+	k       *sim.Kernel
+	latency sim.Duration
+	lines   []map[int]*irqLine // per CPU: irq -> line
+	raised  []uint64           // per CPU: delivered interrupt count
+	dropped []uint64           // per CPU: raised with no handler installed
+}
+
+// irqLine is one (CPU, irq) pair: its installed handler, nil when none, and
+// the delivery callback every Raise of it schedules, built once so raising
+// an interrupt allocates nothing.
+type irqLine struct {
+	handler func()
+	deliver func()
 }
 
 // NewInterruptController creates a controller for numCPUs processors.
@@ -27,16 +35,37 @@ func NewInterruptController(k *sim.Kernel, numCPUs int, latency sim.Duration) *I
 		panic("sti7200: interrupt controller needs at least one CPU")
 	}
 	ic := &InterruptController{
-		k:        k,
-		latency:  latency,
-		handlers: make([]map[int]func(), numCPUs),
-		raised:   make([]uint64, numCPUs),
-		dropped:  make([]uint64, numCPUs),
+		k:       k,
+		latency: latency,
+		lines:   make([]map[int]*irqLine, numCPUs),
+		raised:  make([]uint64, numCPUs),
+		dropped: make([]uint64, numCPUs),
 	}
-	for i := range ic.handlers {
-		ic.handlers[i] = make(map[int]func())
+	for i := range ic.lines {
+		ic.lines[i] = make(map[int]*irqLine)
 	}
 	return ic
+}
+
+// line returns the (cpu, irq) line, creating it on first use.
+func (ic *InterruptController) line(cpu, irq int) *irqLine {
+	ic.checkCPU(cpu)
+	l := ic.lines[cpu][irq]
+	if l == nil {
+		l = &irqLine{}
+		l.deliver = func() {
+			// The handler is looked up at delivery time: one installed
+			// or removed while the interrupt was in flight counts.
+			if l.handler != nil {
+				ic.raised[cpu]++
+				l.handler()
+			} else {
+				ic.dropped[cpu]++
+			}
+		}
+		ic.lines[cpu][irq] = l
+	}
+	return l
 }
 
 // Install registers a handler for irq on cpu, replacing any previous one.
@@ -45,27 +74,21 @@ func (ic *InterruptController) Install(cpu, irq int, handler func()) {
 	if handler == nil {
 		panic("sti7200: nil interrupt handler")
 	}
-	ic.handlers[cpu][irq] = handler
+	ic.line(cpu, irq).handler = handler
 }
 
 // Uninstall removes the handler for irq on cpu.
 func (ic *InterruptController) Uninstall(cpu, irq int) {
 	ic.checkCPU(cpu)
-	delete(ic.handlers[cpu], irq)
+	if l := ic.lines[cpu][irq]; l != nil {
+		l.handler = nil
+	}
 }
 
 // Raise delivers irq to cpu after the controller latency. If no handler is
 // installed at delivery time the interrupt is counted as dropped.
 func (ic *InterruptController) Raise(cpu, irq int) {
-	ic.checkCPU(cpu)
-	ic.k.At(ic.latency, func() {
-		if h, ok := ic.handlers[cpu][irq]; ok {
-			ic.raised[cpu]++
-			h()
-		} else {
-			ic.dropped[cpu]++
-		}
-	})
+	ic.k.At(ic.latency, ic.line(cpu, irq).deliver)
 }
 
 // Stats reports delivered and dropped interrupt counts for cpu.
@@ -75,7 +98,7 @@ func (ic *InterruptController) Stats(cpu int) (delivered, dropped uint64) {
 }
 
 func (ic *InterruptController) checkCPU(cpu int) {
-	if cpu < 0 || cpu >= len(ic.handlers) {
-		panic(fmt.Sprintf("sti7200: CPU %d out of range [0,%d)", cpu, len(ic.handlers)))
+	if cpu < 0 || cpu >= len(ic.lines) {
+		panic(fmt.Sprintf("sti7200: CPU %d out of range [0,%d)", cpu, len(ic.lines)))
 	}
 }
