@@ -468,3 +468,17 @@ func BenchmarkEntropyDecode(b *testing.B) { perfstat.BenchMJPEGFetch(b) }
 // BenchmarkIDCTStage measures the IDCT stage on one block: dequantize,
 // inverse DCT and level shift (perfstat's micro/mjpeg-idct body).
 func BenchmarkIDCTStage(b *testing.B) { perfstat.BenchMJPEGIDCT(b) }
+
+// BenchmarkWireEncodeBlockGroup measures encoding one block-group data
+// frame, the Fetch → IDCT message of the cluster platform (perfstat's
+// micro/wire-encode-blockgroup body).
+func BenchmarkWireEncodeBlockGroup(b *testing.B) { perfstat.BenchWireEncodeBlockGroup(b) }
+
+// BenchmarkWireDecodeBlockGroup measures decoding that frame (perfstat's
+// micro/wire-decode-blockgroup body).
+func BenchmarkWireDecodeBlockGroup(b *testing.B) { perfstat.BenchWireDecodeBlockGroup(b) }
+
+// BenchmarkClusterLinkHop measures that frame crossing a link between two
+// cluster workers: write, buffered read and decode over a real unix socket
+// pair (perfstat's micro/cluster-link-hop body).
+func BenchmarkClusterLinkHop(b *testing.B) { perfstat.BenchClusterLinkHop(b) }

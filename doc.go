@@ -30,9 +30,10 @@
 //     final reports travel the length-prefixed frame protocol of
 //     internal/wire (zero-alloc little-endian encode for scalar
 //     payloads, a binary codec registered per struct payload type,
-//     64 MiB frame cap); the coordinator relays data frames without
-//     decoding their payloads. The
-//     coordinator ingests worker windows into its own monitor and
+//     64 MiB frame cap). Data frames cross one socket, from the
+//     producing worker straight to the consuming one, over links the
+//     coordinator hands the workers at spawn; the coordinator never sees
+//     them. It ingests worker windows into its own monitor and
 //     merges workload partials, so one run's results look exactly like
 //     a single-process run. Deterministic() is false — workers run on
 //     wall clocks over real sockets — so observation fingerprints are

@@ -5,15 +5,22 @@
 // per shard with the -cluster-worker flag. Every process builds the same
 // assembly from the same workload description; each one spawns only the
 // components its shard owns and marks the rest external. Cross-shard
-// connections run over wire transports (internal/wire) relayed through the
-// coordinator; same-shard connections keep the native binding's in-process
-// mailboxes and their zero-alloc hot path.
+// connections run over wire transports (internal/wire) on links between
+// workers: the coordinator makes one unix socket pair per pair of shards
+// and hands its two ends to the two workers at spawn, so a data or
+// edge-close frame crosses one socket, from the producing worker straight
+// to the consuming one. Same-shard connections keep the native binding's
+// in-process mailboxes and their zero-alloc hot path.
 //
-// Observation stays centralized: worker monitors sample only their local
-// components and stream closed windows back over the wire, where the
-// coordinator's monitor ingests them into the single window stream
-// embera-serve brokers; end-of-run observation reports ride back the same
-// way and answer the coordinator's observer queries verbatim.
+// The coordinator keeps supervision and observation. Worker monitors
+// sample only their local components and stream closed windows back over
+// each worker's control connection, where the coordinator's monitor
+// ingests them into the single window stream embera-serve brokers;
+// end-of-run observation reports ride back the same way and answer the
+// coordinator's observer queries verbatim. So does each worker's ledger of
+// the cross-shard edges it touches — frames written and lost by their
+// producers, frames read by their consumers — which a clean run must
+// balance edge by edge.
 package cluster
 
 import (

@@ -326,6 +326,77 @@ func TestRelayQueuesReportDepthAndHighWater(t *testing.T) {
 	}
 }
 
+// TestCoordinatorReadsNoDataFrame runs the observed MJPEG decoder on two
+// workers: every picture's groups cross shards, yet the coordinator reads
+// nothing but each worker's hello, windows, reports and goodbye. The data
+// frames travel the workers' own link, and the ledger both ends keep of it
+// balances.
+func TestCoordinatorReadsNoDataFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	const workers, pictures = 2, 24
+	m, a := cluster.New("nodata", workers, 2)
+	w := platform.MustGetWorkload("mjpeg")
+	stream, err := exp.RefStream(pictures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := platform.Options{Stream: stream}
+	inst, err := w.Build(a, platform.MustGet("cluster"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Distribute("mjpeg", opts.Scale, opts.MessageBytes, opts.Stream, inst); err != nil {
+		t.Fatal(err)
+	}
+	mcfg := &monitor.Config{
+		Levels:   []monitor.LevelPeriod{{Level: core.LevelApplication, PeriodUS: 1000}},
+		WindowUS: 10_000,
+	}
+	mon, err := monitor.New(a, *mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AttachMonitor(mon, mcfg)
+	if err := mon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(60e6); err != nil {
+		t.Fatal(err)
+	}
+	mon.Stop()
+	if err := inst.Check(); err != nil {
+		t.Fatal(err)
+	}
+
+	var crossed uint64
+	for _, c := range a.Components() {
+		for _, cn := range c.Connections() {
+			if n, remote := m.WireFrames(c.Name(), cn.FromIface); remote {
+				crossed += n
+			}
+		}
+	}
+	if want := uint64(pictures * 18); crossed != want {
+		t.Errorf("%d data frames crossed shards, want one per block group: %d", crossed, want)
+	}
+	windows := uint64(len(mon.Windows()))
+	if windows == 0 {
+		t.Error("no worker window reached the coordinator")
+	}
+	// hello, reports and goodbye from each worker, plus one frame per window.
+	if got, want := m.FramesRead(), 3*workers+windows; got != want {
+		t.Errorf("coordinator read %d frames, want %d: %d per worker and %d windows", got, want, 3, windows)
+	}
+	if n := m.LostFrames(); n != 0 {
+		t.Errorf("clean run lost %d frames", n)
+	}
+}
+
 // TestWorkerKillMidRunFailsCleanly kills the worker owning the pipeline
 // Source mid-run: Run must return promptly with an error naming the worker
 // (counting any in-flight losses), not hang and not double-close anything.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -25,12 +26,17 @@ const (
 	exitTimeout  = 15 * time.Second
 )
 
+// ErrLedger is the error a clean sharded run fails with when a cross-shard
+// edge's ledger does not balance: its producing worker wrote a different
+// number of data frames than its consuming worker read.
+var ErrLedger = errors.New("cluster: cross-shard ledger does not balance")
+
 // Machine supervises one cluster run. Without Distribute it degrades to a
 // cluster of one — a transparent native machine — so direct construction
 // (tests, ad-hoc harnesses) needs no processes and no sockets. After
 // Distribute it becomes a pure coordinator: every component is external,
-// worker processes own the shards, and Run orchestrates the wire star —
-// accept, relay, merge, drain.
+// worker processes own the shards and trade cross-shard frames over links
+// of their own, and Run supervises — spawn, accept, merge, drain.
 type Machine struct {
 	appName   string
 	app       *core.App
@@ -49,30 +55,32 @@ type Machine struct {
 	mon          *monitor.Monitor
 	monCfg       *monitor.Config
 
-	mu    sync.Mutex
-	ran   bool
-	links []*workerLink // indexed by shard, nil until Run connects them
+	mu      sync.Mutex
+	ran     bool
+	procs   []*workerProc // indexed by shard, nil until Run connects them
+	inbound []RelayQueue  // indexed by shard, as each worker reported it
 
 	interrupted atomic.Bool
-	lost        atomic.Uint64 // data frames that could not be delivered
+	lost        atomic.Uint64 // data frames producers could not write
 
 	errMu    sync.Mutex
 	firstErr error
 
-	edges      []edge
-	srcShard   []int
-	dstShard   []int
-	edgeFrames []atomic.Uint64 // data frames relayed per edge
+	// The cross-shard ledger per edge, summed from the workers' reports:
+	// data frames the producing worker wrote, and the consuming worker read.
+	edges    []edge
+	srcShard []int
+	dstShard []int
+	sent     []atomic.Uint64
+	received []atomic.Uint64
 }
 
-// workerLink is the coordinator's view of one worker process: its OS
-// process, its wire connection, and the unbounded outbound queue a
-// dedicated writer goroutine drains toward it.
-type workerLink struct {
+// workerProc is the coordinator's view of one worker process: its OS
+// process and its control connection.
+type workerProc struct {
 	shard int
 	cmd   *exec.Cmd
 	conn  *wire.Conn
-	out   *frameQueue
 	bye   atomic.Bool
 	dead  atomic.Bool
 }
@@ -164,40 +172,36 @@ func (m *Machine) ShardOf(name string) int {
 	return ShardOf(name, m.workers)
 }
 
-// LostFrames reports data frames that could not be delivered — queued for
-// or addressed to a worker that died. Zero on a clean run.
+// LostFrames reports data frames lost to a dead worker: frames a producing
+// worker could not write because the consuming worker was gone. Zero on a
+// clean run.
 func (m *Machine) LostFrames() uint64 { return m.lost.Load() }
 
-// RelayQueue is the coordinator's outbound relay queue toward one worker
-// shard: every frame relayed to the shard waits there for its writer.
+// RelayQueue is the queue of frames waiting to reach one worker shard:
+// read off the shard's links but not yet handed to a consumer's mailbox.
+// The shard's worker measures it and reports it at the end of its run.
 type RelayQueue struct {
 	Shard int
-	Depth QueueDepth // occupancy now
-	Peak  QueueDepth // high-water marks since Run connected the shard
+	Depth QueueDepth // occupancy when the worker reported
+	Peak  QueueDepth // high-water marks over the worker's run
 }
 
-// RelayQueues reports every destination shard's relay queue, indexed by
-// shard; nil until Run has connected the workers. A closed queue — its
-// worker gone — reads an empty depth, its residue counted in LostFrames.
+// RelayQueues reports every destination shard's inbound queue, indexed by
+// shard; nil until Run has connected the workers. A shard whose worker has
+// not reported — it is still running, or died — reads empty.
 func (m *Machine) RelayQueues() []RelayQueue {
 	m.mu.Lock()
-	links := m.links
-	m.mu.Unlock()
-	if links == nil {
+	defer m.mu.Unlock()
+	if m.procs == nil {
 		return nil
 	}
-	qs := make([]RelayQueue, len(links))
-	for s, l := range links {
-		qs[s].Shard = s
-		qs[s].Depth, qs[s].Peak = l.out.depth()
-	}
-	return qs
+	return append([]RelayQueue(nil), m.inbound...)
 }
 
-// WireFrames reports how many data frames the coordinator relayed for the
-// edge leaving from's required interface iface, and whether that edge
-// crosses shards at all. Conformance counts these against the producer's
-// send operations.
+// WireFrames reports how many data frames crossed the edge leaving from's
+// required interface iface, as its producing worker wrote them to the
+// consuming worker's link, and whether that edge crosses shards at all.
+// Conformance counts these against the producer's send operations.
 func (m *Machine) WireFrames(from, iface string) (uint64, bool) {
 	for i := range m.edges {
 		e := &m.edges[i]
@@ -205,7 +209,7 @@ func (m *Machine) WireFrames(from, iface string) (uint64, bool) {
 			if m.srcShard[i] == m.dstShard[i] {
 				return 0, false
 			}
-			return m.edgeFrames[i].Load(), true
+			return m.sent[i].Load(), true
 		}
 	}
 	return 0, false
@@ -217,9 +221,9 @@ func (m *Machine) WorkerPIDs() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var pids []int
-	for _, l := range m.links {
-		if l != nil && l.cmd != nil && l.cmd.Process != nil {
-			pids = append(pids, l.cmd.Process.Pid)
+	for _, w := range m.procs {
+		if w != nil && w.cmd != nil && w.cmd.Process != nil {
+			pids = append(pids, w.cmd.Process.Pid)
 		}
 	}
 	return pids
@@ -235,27 +239,17 @@ func (m *Machine) Interrupt() {
 		m.nm.Interrupt()
 		return
 	}
-	m.broadcast(control(wire.Frame{Type: wire.TypeTerminate}))
+	m.broadcast(wire.Frame{Type: wire.TypeTerminate})
 }
 
-// control encodes a frame the coordinator originates. Such frames carry no
-// payload, so encoding them cannot fail.
-func control(f wire.Frame) wire.Raw {
-	raw, err := wire.AppendFrame(nil, &f)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: encoding control frame type %d: %v", f.Type, err))
-	}
-	return raw
-}
-
-func (m *Machine) broadcast(f wire.Raw) {
+// broadcast sends every worker a control frame. A worker that is gone
+// cannot take it, and needs it no more.
+func (m *Machine) broadcast(f wire.Frame) {
 	m.mu.Lock()
-	links := append([]*workerLink(nil), m.links...)
+	procs := m.procs
 	m.mu.Unlock()
-	for _, l := range links {
-		if l != nil {
-			l.out.push(f)
-		}
+	for _, w := range procs {
+		_ = w.conn.WriteFrame(&f)
 	}
 }
 
@@ -264,13 +258,13 @@ func (m *Machine) broadcast(f wire.Raw) {
 func (m *Machine) sendKill(c *core.Component) {
 	shard := m.ShardOf(c.Name())
 	m.mu.Lock()
-	var l *workerLink
-	if shard < len(m.links) {
-		l = m.links[shard]
+	var w *workerProc
+	if shard < len(m.procs) {
+		w = m.procs[shard]
 	}
 	m.mu.Unlock()
-	if l != nil {
-		l.out.push(control(wire.Frame{Type: wire.TypeCompKill, Name: c.Name()}))
+	if w != nil {
+		_ = w.conn.WriteFrame(&wire.Frame{Type: wire.TypeCompKill, Name: c.Name()})
 	}
 }
 
@@ -286,10 +280,11 @@ func (m *Machine) recordErr(err error) {
 }
 
 // Run executes the run. In single-process mode it delegates to the native
-// machine. In sharded mode it spawns the workers, relays cross-shard
-// traffic, merges windows and reports, waits for every goodbye, and reaps
-// the processes — returning the first worker failure, with counted
-// in-flight losses, if the fleet did not drain cleanly.
+// machine. In sharded mode it links and spawns the workers, merges their
+// windows and reports, waits for every goodbye, and reaps the processes —
+// returning the first worker failure, with counted in-flight losses, if
+// the fleet did not drain cleanly, and a ledger error if a clean run's
+// cross-shard counts do not balance.
 func (m *Machine) Run(horizonUS int64) error {
 	m.mu.Lock()
 	if m.ran {
@@ -305,7 +300,7 @@ func (m *Machine) Run(horizonUS int64) error {
 }
 
 type event struct {
-	kind  int // evReports, evDied, evBye
+	kind  int // evReports, evDied
 	shard int
 	frame *wire.Frame
 	err   error
@@ -314,14 +309,56 @@ type event struct {
 const (
 	evReports = iota
 	evDied
-	evBye
 )
+
+// linkFD is the descriptor at which a worker finds its link to peer: the
+// coordinator hands each worker its link ends in peer order through
+// exec.Cmd.ExtraFiles, which start at descriptor 3.
+func linkFD(shard, peer int) uintptr {
+	if peer > shard {
+		peer--
+	}
+	return uintptr(3 + peer)
+}
+
+// makeLinks creates one unix socket pair per pair of shards: ends[s][p] is
+// shard s's end of its link to peer p, in the order linkFD expects. On
+// error every end made so far is closed.
+func makeLinks(shards int) ([][]*os.File, error) {
+	ends := make([][]*os.File, shards)
+	for s := range ends {
+		ends[s] = make([]*os.File, 0, shards-1)
+	}
+	for a := 0; a < shards; a++ {
+		for b := a + 1; b < shards; b++ {
+			fa, fb, err := wire.SocketPair()
+			if err != nil {
+				closeLinks(ends)
+				return nil, fmt.Errorf("cluster: linking workers %d and %d: %w", a, b, err)
+			}
+			ends[a] = append(ends[a], fa)
+			ends[b] = append(ends[b], fb)
+		}
+	}
+	return ends, nil
+}
+
+// closeLinks closes the link ends the coordinator still holds.
+func closeLinks(ends [][]*os.File) {
+	for s, fs := range ends {
+		for _, f := range fs {
+			f.Close()
+		}
+		ends[s] = nil
+	}
+}
 
 func (m *Machine) runSharded(horizonUS int64) error {
 	m.edges = edgeTable(m.app)
 	m.srcShard = make([]int, len(m.edges))
 	m.dstShard = make([]int, len(m.edges))
-	m.edgeFrames = make([]atomic.Uint64, len(m.edges))
+	m.sent = make([]atomic.Uint64, len(m.edges))
+	m.received = make([]atomic.Uint64, len(m.edges))
 	for i, e := range m.edges {
 		m.srcShard[i] = ShardOf(e.from.Name(), m.workers)
 		m.dstShard[i] = ShardOf(e.to.Name(), m.workers)
@@ -373,31 +410,44 @@ func (m *Machine) runSharded(horizonUS int64) error {
 		cfg.MonOverheadPct = m.monCfg.OverheadBudgetPct
 	}
 
-	links := make([]*workerLink, m.workers)
+	// Every cross-shard frame travels a link straight from the producing
+	// worker to the consuming one. The coordinator only makes the links:
+	// each worker inherits its ends, and the coordinator closes its own
+	// copies, so a link ends exactly when one of its two workers exits.
+	ends, err := makeLinks(m.workers)
+	if err != nil {
+		return err
+	}
+	defer closeLinks(ends)
+
+	procs := make([]*workerProc, m.workers)
 	for s := 0; s < m.workers; s++ {
 		c := cfg
 		c.Shard = s
 		js, jerr := json.Marshal(&c)
 		if jerr != nil {
+			m.killAll(procs)
 			return fmt.Errorf("cluster: %w", jerr)
 		}
 		cfgPath := filepath.Join(tmp, fmt.Sprintf("worker-%d.json", s))
 		if err := os.WriteFile(cfgPath, js, 0o600); err != nil {
+			m.killAll(procs)
 			return fmt.Errorf("cluster: %w", err)
 		}
 		cmd := exec.Command(exe, "-cluster-worker")
 		cmd.Env = append(os.Environ(), ConfigEnv+"="+cfgPath)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
+		cmd.ExtraFiles = ends[s]
 		if err := cmd.Start(); err != nil {
-			for _, l := range links {
-				if l != nil {
-					_ = l.cmd.Process.Kill()
-				}
-			}
+			m.killAll(procs)
 			return fmt.Errorf("cluster: spawning worker %d: %w", s, err)
 		}
-		links[s] = &workerLink{shard: s, cmd: cmd, out: newFrameQueue()}
+		for _, f := range ends[s] {
+			f.Close()
+		}
+		ends[s] = nil
+		procs[s] = &workerProc{shard: s, cmd: cmd}
 	}
 
 	// Accept every worker's hello; shard identity comes from the frame, not
@@ -409,7 +459,7 @@ func (m *Machine) runSharded(horizonUS int64) error {
 	for len(conns) < m.workers {
 		nc, aerr := ln.Accept()
 		if aerr != nil {
-			m.killAll(links)
+			m.killAll(procs)
 			return fmt.Errorf("cluster: waiting for %d of %d workers to connect: %w",
 				m.workers-len(conns), m.workers, aerr)
 		}
@@ -417,39 +467,41 @@ func (m *Machine) runSharded(horizonUS int64) error {
 		var hello wire.Frame
 		if err := wc.ReadFrame(&hello); err != nil || hello.Type != wire.TypeHello {
 			wc.Close()
-			m.killAll(links)
+			m.killAll(procs)
 			return fmt.Errorf("cluster: bad hello from worker: %v", err)
 		}
 		s := int(hello.Shard)
 		if s < 0 || s >= m.workers || conns[s] != nil {
 			wc.Close()
-			m.killAll(links)
+			m.killAll(procs)
 			return fmt.Errorf("cluster: worker announced invalid shard %d", s)
 		}
 		conns[s] = wc
 	}
 	for s, wc := range conns {
-		links[s].conn = wc
+		procs[s].conn = wc
 	}
 	m.mu.Lock()
-	m.links = links
+	m.procs = procs
+	m.inbound = make([]RelayQueue, m.workers)
+	for s := range m.inbound {
+		m.inbound[s].Shard = s
+	}
 	m.mu.Unlock()
 
 	events := make(chan event, 4*m.workers+16)
 	var readers sync.WaitGroup
-	for _, l := range links {
-		l := l
-		go m.runWriter(l)
+	for _, w := range procs {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			m.runReader(l, links, events)
+			m.runReader(w, events)
 		}()
 	}
 	orchDone := make(chan struct{})
 	go func() {
 		defer close(orchDone)
-		m.orchestrate(links, events)
+		m.orchestrate(procs, events)
 	}()
 	go func() {
 		readers.Wait()
@@ -458,16 +510,16 @@ func (m *Machine) runSharded(horizonUS int64) error {
 
 	// An interrupt that raced the launch must still reach the workers.
 	if m.interrupted.Load() {
-		m.broadcast(control(wire.Frame{Type: wire.TypeTerminate}))
+		m.broadcast(wire.Frame{Type: wire.TypeTerminate})
 	}
 
 	// The local machine waits for the harness drivers (observation driver,
 	// monitor pump): they finish once every shard has reported done.
 	natErr := m.nm.Run(horizonUS)
 	if natErr != nil {
-		// Local horizon exceeded — the fleet is hung. Cut the sockets so
-		// the readers unwind and the error surfaces.
-		m.broadcast(control(wire.Frame{Type: wire.TypeTerminate}))
+		// Local horizon exceeded — the fleet is hung. Interrupt it so the
+		// readers unwind and the error surfaces.
+		m.broadcast(wire.Frame{Type: wire.TypeTerminate})
 	}
 
 	byeDone := make(chan struct{})
@@ -480,31 +532,24 @@ func (m *Machine) runSharded(horizonUS int64) error {
 	case <-time.After(byeTimeout):
 		m.recordErr(fmt.Errorf("cluster: workers still connected %v after local drain", byeTimeout))
 	}
-	for _, l := range links {
-		l.conn.Close()
+	for _, w := range procs {
+		w.conn.Close()
 	}
 	<-byeDone
 	<-orchDone
 
-	// Drain the outbound queues: anything still buffered was never
-	// delivered.
-	for _, l := range links {
-		m.countLost(l.out.close()...)
-	}
-
-	for _, l := range links {
-		l := l
+	for _, w := range procs {
 		werr := make(chan error, 1)
-		go func() { werr <- l.cmd.Wait() }()
+		go func() { werr <- w.cmd.Wait() }()
 		select {
 		case e := <-werr:
-			if e != nil && !l.dead.Load() && !m.interrupted.Load() {
-				m.recordErr(fmt.Errorf("cluster: worker %d: %w", l.shard, e))
+			if e != nil && !w.dead.Load() && !m.interrupted.Load() {
+				m.recordErr(fmt.Errorf("cluster: worker %d: %w", w.shard, e))
 			}
 		case <-time.After(exitTimeout):
-			_ = l.cmd.Process.Kill()
+			_ = w.cmd.Process.Kill()
 			<-werr
-			m.recordErr(fmt.Errorf("cluster: worker %d had to be killed after the run", l.shard))
+			m.recordErr(fmt.Errorf("cluster: worker %d had to be killed after the run", w.shard))
 		}
 	}
 
@@ -517,160 +562,142 @@ func (m *Machine) runSharded(horizonUS int64) error {
 		}
 		return ferr
 	}
+	if natErr == nil && !m.interrupted.Load() {
+		return m.checkLedger()
+	}
 	return natErr
 }
 
-func (m *Machine) killAll(links []*workerLink) {
-	for _, l := range links {
-		if l != nil && l.cmd != nil && l.cmd.Process != nil {
-			_ = l.cmd.Process.Kill()
-			go func(c *exec.Cmd) { _ = c.Wait() }(l.cmd)
-		}
-	}
-}
-
-// countLost counts the data frames among frames that were never delivered
-// as in-flight losses.
-func (m *Machine) countLost(frames ...wire.Raw) {
-	for _, f := range frames {
-		if f.Type() == wire.TypeData {
-			m.lost.Add(1)
-		}
-	}
-}
-
-// runWriter drains one worker's outbound queue onto its socket. On a write
-// error the queue closes and its residue counts as losses.
-func (m *Machine) runWriter(l *workerLink) {
-	for {
-		f, ok := l.out.pop()
-		if !ok {
-			return
-		}
-		if err := l.conn.WriteRaw(f); err != nil {
-			m.countLost(f)
-			m.countLost(l.out.close()...)
-			return
-		}
-	}
-}
-
-// runReader consumes one worker's inbound stream. Data and edge-close
-// frames are routed on their edge and relayed to the destination shard as
-// read: their payloads are decoded only by the worker that receives them,
-// which also reports a payload that fails to decode. Windows ingest into
-// the coordinator monitor; report and life-cycle frames go to the
-// orchestrator.
-func (m *Machine) runReader(l *workerLink, links []*workerLink, events chan<- event) {
-	died := func(err error) {
-		if !l.bye.Load() {
-			events <- event{kind: evDied, shard: l.shard,
-				err: fmt.Errorf("cluster: worker %d exited before goodbye: %v", l.shard, err)}
-		}
-	}
-	for {
-		raw, err := l.conn.ReadRaw(nil)
-		if err != nil {
-			died(err)
-			return
-		}
-		if id, ok := raw.Edge(); ok {
-			if id >= uint32(len(m.dstShard)) {
-				continue
-			}
-			dst := links[m.dstShard[id]]
-			if raw.Type() == wire.TypeData {
-				m.edgeFrames[id].Add(1)
-				if dst.dead.Load() || !dst.out.push(raw) {
-					m.lost.Add(1)
-				}
-				continue
-			}
-			dst.out.push(raw)
+// checkLedger holds a clean run to its cross-shard ledger: every data frame
+// a producing worker wrote to a link, the consuming worker read off it.
+func (m *Machine) checkLedger() error {
+	for i, e := range m.edges {
+		if m.srcShard[i] == m.dstShard[i] {
 			continue
 		}
-		f := new(wire.Frame)
-		if err := wire.DecodeFrame(raw.Body(), f); err != nil {
+		if sent, got := m.sent[i].Load(), m.received[i].Load(); sent != got {
+			return fmt.Errorf("%w: %v: worker %d wrote %d data frames, worker %d read %d",
+				ErrLedger, e, m.srcShard[i], sent, m.dstShard[i], got)
+		}
+	}
+	return nil
+}
+
+func (m *Machine) killAll(procs []*workerProc) {
+	for _, w := range procs {
+		if w != nil && w.cmd != nil && w.cmd.Process != nil {
+			_ = w.cmd.Process.Kill()
+			go func(c *exec.Cmd) { _ = c.Wait() }(w.cmd)
+		}
+	}
+}
+
+// runReader consumes one worker's control stream: windows ingest into the
+// coordinator monitor; reports, goodbyes and failures go to the
+// orchestrator. Data never comes this way — it crosses the workers' own
+// links — so any other frame is a protocol error that fails the worker.
+func (m *Machine) runReader(w *workerProc, events chan<- event) {
+	died := func(err error) {
+		if !w.bye.Load() {
+			events <- event{kind: evDied, shard: w.shard,
+				err: fmt.Errorf("cluster: worker %d exited before goodbye: %v", w.shard, err)}
+		}
+	}
+	var f wire.Frame
+	for {
+		if err := w.conn.ReadFrame(&f); err != nil {
 			died(err)
 			return
 		}
 		switch f.Type {
 		case wire.TypeWindows:
 			if m.mon != nil {
-				for _, w := range f.Windows {
-					m.mon.Ingest(w)
+				for _, win := range f.Windows {
+					m.mon.Ingest(win)
 				}
 			}
 		case wire.TypeReports:
-			events <- event{kind: evReports, shard: l.shard, frame: f}
+			rep := f
+			events <- event{kind: evReports, shard: w.shard, frame: &rep}
 		case wire.TypeBye:
-			l.bye.Store(true)
-			events <- event{kind: evBye, shard: l.shard}
+			w.bye.Store(true)
 			return
 		case wire.TypeError:
-			events <- event{kind: evDied, shard: l.shard,
-				err: fmt.Errorf("cluster: worker %d failed: %s", l.shard, f.Name)}
+			events <- event{kind: evDied, shard: w.shard,
+				err: fmt.Errorf("cluster: worker %d failed: %s", w.shard, f.Name)}
+			return
+		default:
+			events <- event{kind: evDied, shard: w.shard,
+				err: fmt.Errorf("cluster: worker %d sent the coordinator a frame of type %d", w.shard, f.Type)}
 			return
 		}
 	}
 }
 
 // orchestrate is the single control goroutine: it applies report overrides,
-// finishes external components, merges workload partials, and handles
-// worker death — all serially, so instance merging and life-cycle
+// finishes external components, merges workload partials and ledgers, and
+// handles worker death — all serially, so instance merging and life-cycle
 // transitions never race.
-func (m *Machine) orchestrate(links []*workerLink, events <-chan event) {
+func (m *Machine) orchestrate(procs []*workerProc, events <-chan event) {
 	comps := m.app.Components()
+	// shardDone tells every other worker that shard is done, then finishes
+	// the shard's components here.
+	shardDone := func(shard int) {
+		done := wire.Frame{Type: wire.TypeShardDone, Shard: uint32(shard)}
+		for _, w := range procs {
+			if w.shard != shard {
+				_ = w.conn.WriteFrame(&done)
+			}
+		}
+		for _, c := range comps {
+			if ShardOf(c.Name(), m.workers) == shard {
+				m.app.FinishExternal(c)
+			}
+		}
+	}
 	for ev := range events {
 		switch ev.kind {
 		case evReports:
+			f := ev.frame
 			for _, c := range comps {
-				if rep, ok := ev.frame.Reports[c.Name()]; ok {
+				if rep, ok := f.Reports[c.Name()]; ok {
 					c.SetReportOverride(rep)
 				}
 			}
 			if sm, ok := m.inst.(ShardMerger); ok {
-				sm.MergeShard(int(ev.frame.Units), ev.frame.Checksum)
+				sm.MergeShard(int(f.Units), f.Checksum)
 			}
-			done := control(wire.Frame{Type: wire.TypeShardDone, Shard: uint32(ev.shard)})
-			for _, l := range links {
-				if l.shard != ev.shard {
-					l.out.push(done)
-				}
+			if err := m.mergeLedger(ev.shard, f); err != nil {
+				m.recordErr(err)
 			}
-			for _, c := range comps {
-				if ShardOf(c.Name(), m.workers) == ev.shard {
-					m.app.FinishExternal(c)
-				}
-			}
+			shardDone(ev.shard)
 		case evDied:
-			l := links[ev.shard]
-			if l.dead.Swap(true) {
+			if procs[ev.shard].dead.Swap(true) {
 				continue
 			}
 			m.recordErr(ev.err)
-			m.countLost(l.out.close()...)
-			// Close every edge leaving the dead shard so downstream
-			// consumers drain instead of waiting forever, and tell the
-			// survivors the shard is done so they can quiesce.
-			for i := range m.edges {
-				if m.srcShard[i] == ev.shard && m.dstShard[i] != ev.shard {
-					links[m.dstShard[i]].out.push(control(wire.Frame{Type: wire.TypeEdgeClose, Edge: uint32(i)}))
-				}
-			}
-			done := control(wire.Frame{Type: wire.TypeShardDone, Shard: uint32(ev.shard)})
-			for _, other := range links {
-				if other.shard != ev.shard {
-					other.out.push(done)
-				}
-			}
-			for _, c := range comps {
-				if ShardOf(c.Name(), m.workers) == ev.shard {
-					m.app.FinishExternal(c)
-				}
-			}
-		case evBye:
-			// Reader already marked the link; nothing further to do.
+			// The survivors' links to the dead worker have ended: they
+			// close its edges themselves. Tell them the shard is done so
+			// they can quiesce.
+			shardDone(ev.shard)
 		}
 	}
+}
+
+// mergeLedger folds one worker's report of its cross-shard traffic into the
+// run's ledger and records its inbound queue.
+func (m *Machine) mergeLedger(shard int, f *wire.Frame) error {
+	for _, ec := range f.Ledger {
+		i := int(ec.Edge)
+		if i >= len(m.edges) || (m.srcShard[i] != shard && m.dstShard[i] != shard) {
+			return fmt.Errorf("cluster: worker %d reported traffic on edge %d, which it does not touch", shard, ec.Edge)
+		}
+		m.sent[i].Add(ec.Sent)
+		m.received[i].Add(ec.Received)
+		m.lost.Add(ec.Lost)
+	}
+	m.mu.Lock()
+	m.inbound[shard] = RelayQueue{Shard: shard, Depth: f.Inbound, Peak: f.InboundPeak}
+	m.mu.Unlock()
+	return nil
 }

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"embera/internal/core"
@@ -65,32 +67,48 @@ func MaybeWorkerMain() {
 	os.Exit(workerMain(path))
 }
 
-// wireTransport is the sending half of a cross-shard edge: core.Ctx.Send
-// dispatches here instead of the (external) consumer's local mailbox. The
-// frame write blocks on the socket when the coordinator falls behind, which
-// is the only backpressure a remote edge applies to its producer. A message
-// that cannot be sent fails the worker, naming the edge and the cause.
-type wireTransport struct {
-	wc    *wire.Conn
+// linkTransport is the sending half of a cross-shard edge: core.Ctx.Send
+// dispatches here instead of the (external) consumer's local mailbox, and
+// the frame goes straight to the consuming worker over their link. The
+// write blocks while the link is full, which is the only backpressure a
+// remote edge applies to its producer. A payload that cannot be encoded
+// fails the worker, naming the edge and the cause. A frame the link refuses
+// because the consuming worker is gone is counted lost and the send reports
+// done, so the producer runs on and the run fails naming the dead worker.
+type linkTransport struct {
+	link  *wire.Conn
 	edge  edge
+	count *edgeCount
 	fault *fault
 }
 
-func (t *wireTransport) Send(f core.Flow, m core.Message) bool {
+func (t *linkTransport) Send(f core.Flow, m core.Message) bool {
 	fr := wire.Frame{
 		Type: wire.TypeData, Edge: uint32(t.edge.id),
 		Bytes: int64(m.Bytes), From: m.From, Payload: m.Payload,
 	}
-	if err := t.wc.WriteFrame(&fr); err != nil {
+	err := t.link.WriteFrame(&fr)
+	var werr *wire.WriteError
+	switch {
+	case err == nil:
+		t.count.sent.Add(1)
+	case errors.As(err, &werr):
+		t.count.lost.Add(1)
+	default:
 		t.fault.report(fmt.Errorf("sending on %v: %w", t.edge, err))
 		return false
 	}
 	return true
 }
 
-func (t *wireTransport) CloseProducer() {
-	fr := wire.Frame{Type: wire.TypeEdgeClose, Edge: uint32(t.edge.id)}
-	_ = t.wc.WriteFrame(&fr)
+func (t *linkTransport) CloseProducer() {
+	_ = t.link.WriteFrame(&wire.Frame{Type: wire.TypeEdgeClose, Edge: uint32(t.edge.id)})
+}
+
+// edgeCount is a worker's side of one cross-shard edge's ledger: the data
+// frames its producer wrote and lost, or its consumer read.
+type edgeCount struct {
+	sent, lost, received atomic.Uint64
 }
 
 // fault is a worker's first data-path failure. Reporting it sends the
@@ -124,6 +142,23 @@ func (f *fault) get() error {
 	return f.err
 }
 
+// shardWorker is one worker process's run of its shard.
+type shardWorker struct {
+	cfg   workerConfig
+	app   *core.App
+	nm    *native.Machine
+	comps []*core.Component
+	edges []edge
+	flt   *fault
+
+	// Per edge, indexed by edge id: the ledger of every cross-shard edge
+	// this shard touches, and the injection queue of every one it consumes.
+	counts []edgeCount
+	inQ    []*msgQueue
+	// inbound gauges the frames waiting in the injection queues.
+	inbound depthGauge
+}
+
 func workerMain(cfgPath string) int {
 	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "cluster worker: %v\n", err)
@@ -152,6 +187,20 @@ func workerMain(cfgPath string) int {
 	failWire := func(err error) int {
 		_ = wc.WriteFrame(&wire.Frame{Type: wire.TypeError, Name: err.Error()})
 		return fail(err)
+	}
+
+	// The links to every peer worker, inherited from the coordinator.
+	links := make([]*wire.Conn, cfg.Workers)
+	for p := range links {
+		if p == cfg.Shard {
+			continue
+		}
+		l, err := wire.FileConn(os.NewFile(linkFD(cfg.Shard, p), fmt.Sprintf("link to worker %d", p)))
+		if err != nil {
+			return failWire(err)
+		}
+		defer l.Close()
+		links[p] = l
 	}
 
 	if buildFn == nil {
@@ -186,32 +235,41 @@ func workerMain(cfgPath string) int {
 		}
 	}
 
-	// Cross-shard wiring: transports carry local producers' sends out;
-	// per-edge injection queues carry remote producers' messages in.
 	edges := edgeTable(app)
-	inQ := make(map[int]*msgQueue)
+	w := &shardWorker{
+		cfg: cfg, app: app, nm: nm, comps: comps, edges: edges,
+		counts: make([]edgeCount, len(edges)),
+		inQ:    make([]*msgQueue, len(edges)),
+	}
 	// halt interrupts the local run and releases everything that waits on
-	// the coordinator, so the process exits instead of hanging.
+	// another process, so the worker exits instead of hanging.
 	halt := func() {
 		nm.Interrupt()
 		for _, c := range comps {
 			app.FinishExternal(c)
 		}
-		for _, q := range inQ {
-			q.shut()
+		for _, q := range w.inQ {
+			if q != nil {
+				q.shut()
+			}
 		}
 	}
-	flt := &fault{wc: wc, halt: halt}
+	w.flt = &fault{wc: wc, halt: halt}
+
+	// Cross-shard wiring: transports carry local producers' sends out over
+	// the consuming worker's link; per-edge injection queues carry remote
+	// producers' messages in.
 	for _, e := range edges {
 		src := ShardOf(e.from.Name(), cfg.Workers)
 		dst := ShardOf(e.to.Name(), cfg.Workers)
 		switch {
 		case src == cfg.Shard && dst != cfg.Shard:
-			if err := app.BindTransport(e.from, e.fromIface, &wireTransport{wc: wc, edge: e, fault: flt}); err != nil {
+			t := &linkTransport{link: links[dst], edge: e, count: &w.counts[e.id], fault: w.flt}
+			if err := app.BindTransport(e.from, e.fromIface, t); err != nil {
 				return failWire(err)
 			}
 		case dst == cfg.Shard && src != cfg.Shard:
-			inQ[e.id] = newMsgQueue()
+			w.inQ[e.id] = newMsgQueue(&w.inbound)
 		}
 	}
 
@@ -224,9 +282,11 @@ func workerMain(cfgPath string) int {
 			for _, c := range local {
 				reps[c.Name()] = c.Snapshot(core.LevelAll)
 			}
+			depth, peak := w.inbound.depth()
 			_ = wc.WriteFrame(&wire.Frame{
 				Type: wire.TypeReports, Shard: uint32(cfg.Shard),
 				Units: int64(inst.Units()), Checksum: inst.Checksum(),
+				Ledger: w.ledger(), Inbound: depth, InboundPeak: peak,
 				Reports: reps,
 			})
 		})
@@ -260,27 +320,17 @@ func workerMain(cfgPath string) int {
 		return failWire(err)
 	}
 
-	for id, q := range inQ {
-		e := edges[id]
-		q := q
-		go func() {
-			for {
-				im, ok := q.pop()
-				if !ok {
-					return
-				}
-				if im.closeIt {
-					_ = app.ReleaseProducer(e.to, e.toIface)
-					return
-				}
-				_, _ = app.Inject(stubFlow{}, e.to, e.toIface, core.Message{
-					Payload: im.payload, Bytes: int(im.bytes), From: im.from,
-				})
-			}
-		}()
+	for id, q := range w.inQ {
+		if q != nil {
+			go w.inject(edges[id], q)
+		}
 	}
-
-	go workerReader(wc, app, nm, comps, edges, inQ, cfg, flt)
+	for p, l := range links {
+		if l != nil {
+			go w.readLink(p, l)
+		}
+	}
+	go w.readControl(wc)
 
 	if len(local) == 0 {
 		// An empty shard reports immediately: zero partials, no reports.
@@ -290,7 +340,7 @@ func workerMain(cfgPath string) int {
 	if err := nm.Run(cfg.HorizonUS); err != nil {
 		return failWire(err)
 	}
-	if err := flt.get(); err != nil {
+	if err := w.flt.get(); err != nil {
 		return fail(err)
 	}
 	if err := wc.WriteFrame(&wire.Frame{Type: wire.TypeBye}); err != nil {
@@ -299,50 +349,121 @@ func workerMain(cfgPath string) int {
 	return 0
 }
 
-// workerReader consumes the coordinator stream: remote data and producer
-// closes feed the injection queues, shard-done frames finish external
-// components, terminate/kill frames drive the local machine. A frame that
-// fails to decode — a data payload is decoded here, for the first time
-// since its sender encoded it — is the worker's fault, named with its edge.
-// A broken connection (the coordinator died) halts the local run so the
+// ledger reports this shard's count of every cross-shard edge it produces
+// or consumes on.
+func (w *shardWorker) ledger() []wire.EdgeCount {
+	var out []wire.EdgeCount
+	for _, e := range w.edges {
+		src := ShardOf(e.from.Name(), w.cfg.Workers)
+		dst := ShardOf(e.to.Name(), w.cfg.Workers)
+		if src == dst || (src != w.cfg.Shard && dst != w.cfg.Shard) {
+			continue
+		}
+		c := &w.counts[e.id]
+		out = append(out, wire.EdgeCount{
+			Edge: uint32(e.id), Sent: c.sent.Load(), Lost: c.lost.Load(), Received: c.received.Load(),
+		})
+	}
+	return out
+}
+
+// inject drains one in-edge's queue into its consumer's mailbox, where the
+// messages feel local backpressure, and releases the remote producer when
+// the edge closes.
+func (w *shardWorker) inject(e edge, q *msgQueue) {
+	for {
+		im, ok := q.pop()
+		if !ok {
+			return
+		}
+		if im.closeIt {
+			_ = w.app.ReleaseProducer(e.to, e.toIface)
+			return
+		}
+		_, _ = w.app.Inject(stubFlow{}, e.to, e.toIface, core.Message{
+			Payload: im.payload, Bytes: int(im.bytes), From: im.from,
+		})
+	}
+}
+
+// readLink consumes the link from worker peer. It blocks on nothing but
+// the socket: each data frame is decoded and queued for its edge's
+// injector, however full the consumer's mailbox is, so the peer's writes
+// always drain and no cycle of blocked writers can form across the fleet.
+// A payload that fails to decode is this worker's fault, named with its
+// edge. When the link ends — the peer exited or died, or its stream broke —
+// every in-edge the peer left open is closed, once, so its consumer drains
+// instead of waiting forever; on a clean run the ledger then shows any
+// frame that never arrived.
+func (w *shardWorker) readLink(peer int, link *wire.Conn) {
+	open := make(map[uint32]bool)
+	for _, e := range w.edges {
+		if ShardOf(e.from.Name(), w.cfg.Workers) == peer && w.inQ[e.id] != nil {
+			open[uint32(e.id)] = true
+		}
+	}
+	var raw wire.Raw
+	for {
+		var err error
+		if raw, err = link.ReadRaw(raw); err != nil {
+			break
+		}
+		var f wire.Frame
+		if err := wire.DecodeFrame(raw.Body(), &f); err != nil {
+			if id, ok := raw.Edge(); ok && id < uint32(len(w.edges)) {
+				err = fmt.Errorf("receiving on %v: %w", w.edges[id], err)
+			}
+			w.flt.report(err)
+			continue
+		}
+		if (f.Type != wire.TypeData && f.Type != wire.TypeEdgeClose) || !open[f.Edge] {
+			w.flt.report(fmt.Errorf("link from worker %d: frame type %d for edge %d, which is not open from there",
+				peer, f.Type, f.Edge))
+			continue
+		}
+		q := w.inQ[f.Edge]
+		if f.Type == wire.TypeEdgeClose {
+			delete(open, f.Edge)
+			q.push(injMsg{closeIt: true, size: len(raw)})
+			continue
+		}
+		w.counts[f.Edge].received.Add(1)
+		q.push(injMsg{payload: f.Payload, bytes: f.Bytes, from: f.From, size: len(raw)})
+	}
+	for id := range open {
+		w.inQ[id].push(injMsg{closeIt: true})
+	}
+}
+
+// readControl consumes the coordinator stream: shard-done frames finish
+// external components, terminate/kill frames drive the local machine. A
+// broken connection (the coordinator died) halts the local run so the
 // process exits instead of hanging.
-func workerReader(wc *wire.Conn, app *core.App, nm *native.Machine, comps []*core.Component,
-	edges []edge, inQ map[int]*msgQueue, cfg workerConfig, flt *fault) {
+func (w *shardWorker) readControl(wc *wire.Conn) {
 	var raw wire.Raw
 	for {
 		var err error
 		if raw, err = wc.ReadRaw(raw); err != nil {
-			flt.halt()
+			w.flt.halt()
 			return
 		}
 		var f wire.Frame
 		if err := wire.DecodeFrame(raw.Body(), &f); err != nil {
-			if id, ok := raw.Edge(); ok && id < uint32(len(edges)) {
-				err = fmt.Errorf("receiving on %v: %w", edges[id], err)
-			}
-			flt.report(err)
+			w.flt.report(fmt.Errorf("reading the coordinator: %w", err))
 			return
 		}
 		switch f.Type {
-		case wire.TypeData:
-			if q := inQ[int(f.Edge)]; q != nil {
-				q.push(injMsg{payload: f.Payload, bytes: f.Bytes, from: f.From})
-			}
-		case wire.TypeEdgeClose:
-			if q := inQ[int(f.Edge)]; q != nil {
-				q.push(injMsg{closeIt: true})
-			}
 		case wire.TypeShardDone:
-			for _, c := range comps {
-				if ShardOf(c.Name(), cfg.Workers) == int(f.Shard) {
-					app.FinishExternal(c)
+			for _, c := range w.comps {
+				if ShardOf(c.Name(), w.cfg.Workers) == int(f.Shard) {
+					w.app.FinishExternal(c)
 				}
 			}
 		case wire.TypeTerminate:
-			nm.Interrupt()
+			w.nm.Interrupt()
 		case wire.TypeCompKill:
-			if c, ok := app.Component(f.Name); ok {
-				_ = app.Terminate(c)
+			if c, ok := w.app.Component(f.Name); ok {
+				_ = w.app.Terminate(c)
 			}
 		}
 	}

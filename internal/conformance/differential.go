@@ -109,7 +109,7 @@ func (s Spec) Repro(seed int64) string {
 
 // sharder is the structural seam a machine exposes when it partitioned the
 // assembly across OS processes (the cluster platform): the placement
-// function, and the coordinator's per-edge relay counters for cross-shard
+// function, and the per-edge wire-frame counters for cross-shard
 // connections. When a run's machine implements it, flow conservation is
 // additionally accounted per shard — a send==receive mismatch names the
 // offending interface and the shards on both ends — and every cross-shard
@@ -425,7 +425,7 @@ func checkFlowConservation(edges []platform.FlowEdge, reports map[string]core.Ob
 			continue
 		}
 		// Cross-shard edges carry one wire frame per send op, counted
-		// by the coordinator relay; same-shard edges report !remote.
+		// by the producing worker; same-shard edges report !remote.
 		if frames, remote := sh.WireFrames(e.From, e.Iface); remote && frames != ops {
 			return fmt.Errorf("flow: %s.%s (shard %d -> %s on shard %d): %d wire frames != %d send ops",
 				e.From, e.Iface, sh.ShardOf(e.From), e.To, sh.ShardOf(e.To), frames, ops)

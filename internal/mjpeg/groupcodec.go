@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // The group codecs are the binary form a BlockGroup or PixelGroup takes
@@ -23,18 +24,28 @@ import (
 //	quantization tables                 4×64 uint16, raster order
 //	block count                         uint32
 //	per block: Comp, BX, BY             int64 each, then
-//	                                    64 int32 coefficients (BlockGroup)
-//	                                    or 64 samples (PixelGroup)
+//	  (BlockGroup) nonzero mask         uint64, bit k set when
+//	                                    coefficient k is nonzero
+//	               coefficients         int32 each, the nonzero ones
+//	                                    in index order
+//	  (PixelGroup) samples              64 bytes
+//
+// A quantized block is mostly zeros, so a block group carries each block's
+// nonzero coefficients only: on the reference stream about a quarter of
+// the dense 64 int32s.
 //
 // Decoding holds the header to the bounds ParseFrame enforces and derives
 // its geometry the way ParseFrame does, checks the block count against the
 // bytes left before allocating, checks every block's coordinates against
-// the header, and rejects trailing bytes.
+// the header, takes a block's coefficients only from bytes that are there
+// and rejects a zero one its mask marks nonzero, and rejects trailing
+// bytes.
 
 const (
 	quantBytes      = 4 * 64 * 2
 	coordBytes      = 3 * 8
-	coeffBlockBytes = coordBytes + 64*4
+	maskBytes       = 8
+	minCoeffBlock   = coordBytes + maskBytes // an all-zero block
 	pixelBlockBytes = coordBytes + 64
 )
 
@@ -49,11 +60,15 @@ func AppendBlockGroup(buf []byte, g BlockGroup) ([]byte, error) {
 		b := &g.Blocks[i]
 		buf = appendCoords(buf, b.Comp, b.BX, b.BY)
 		at := len(buf)
-		buf = append(buf, make([]byte, 64*4)...)
-		p := buf[at:]
+		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // mask, back-patched below
+		var mask uint64
 		for k, c := range b.Coeff {
-			binary.LittleEndian.PutUint32(p[4*k:], uint32(c))
+			if c != 0 {
+				mask |= 1 << k
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
+			}
 		}
+		binary.LittleEndian.PutUint64(buf[at:], mask)
 	}
 	return buf, nil
 }
@@ -64,7 +79,7 @@ func DecodeBlockGroup(b []byte) (BlockGroup, error) {
 	r := groupReader{b: b}
 	var g BlockGroup
 	g.FrameIndex, g.GroupIndex, g.NumGroups, g.Header = r.head()
-	n := r.count(coeffBlockBytes)
+	n := r.count(minCoeffBlock)
 	if r.err != nil {
 		return BlockGroup{}, r.err
 	}
@@ -72,12 +87,22 @@ func DecodeBlockGroup(b []byte) (BlockGroup, error) {
 	for i := range g.Blocks {
 		blk := &g.Blocks[i]
 		blk.Comp, blk.BX, blk.BY = r.coords(g.Header)
-		p := r.next(64 * 4)
+		var mask uint64
+		if p := r.next(maskBytes); p != nil {
+			mask = binary.LittleEndian.Uint64(p)
+		}
+		p := r.next(4 * bits.OnesCount64(mask))
 		if r.err != nil {
 			return BlockGroup{}, fmt.Errorf("%w (block %d)", r.err, i)
 		}
-		for k := range blk.Coeff {
-			blk.Coeff[k] = int32(binary.LittleEndian.Uint32(p[4*k:]))
+		for ; mask != 0; mask &= mask - 1 {
+			k := bits.TrailingZeros64(mask)
+			c := int32(binary.LittleEndian.Uint32(p))
+			if c == 0 {
+				return BlockGroup{}, fmt.Errorf("mjpeg: block %d marks zero coefficient %d nonzero", i, k)
+			}
+			blk.Coeff[k] = c
+			p = p[4:]
 		}
 	}
 	if err := r.end(); err != nil {

@@ -155,6 +155,11 @@ func TestGroupCodecRejects(t *testing.T) {
 	}
 
 	head := 6*8 + 1 + 3*6 + quantBytes // bytes before the block count
+	last := &g.Blocks[len(g.Blocks)-1]
+	lastMask := len(enc) - 4*nonzero(last) - maskBytes // the last block's mask
+	if nonzero(last) < 2 {
+		t.Fatal("the last block needs two nonzero coefficients")
+	}
 	patch := func(at int, v uint64, width int) []byte {
 		b := append([]byte(nil), enc...)
 		if width == 8 {
@@ -178,6 +183,8 @@ func TestGroupCodecRejects(t *testing.T) {
 		{"block count", append(append(append([]byte(nil), enc[:head]...), 0xFF, 0xFF, 0xFF, 0x7F), enc[head+4:]...), "declares"},
 		{"block component", patch(head+4, 3, 8), "component"},
 		{"block position", patch(head+4+8, 1<<40, 8), "outside"},
+		{"mask overruns", patch(lastMask, math.MaxUint64, 8), "truncated"},
+		{"zero marked nonzero", patch(lastMask+8, 0, 8), "marks zero coefficient"},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeBlockGroup(tc.body); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -186,5 +193,54 @@ func TestGroupCodecRejects(t *testing.T) {
 	}
 	if _, err := AppendBlockGroup(nil, BlockGroup{}); err == nil {
 		t.Error("a group without a frame header encoded")
+	}
+}
+
+// nonzero counts a block's nonzero coefficients.
+func nonzero(b *CoeffBlock) int {
+	n := 0
+	for _, c := range b.Coeff {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestBlockGroupSparseSize: a block costs its coordinates, its mask and
+// four bytes per nonzero coefficient, so an all-zero block takes 32 bytes
+// and a dense one 288.
+func TestBlockGroupSparseSize(t *testing.T) {
+	_, groups := wireGroups(t, SynthFrame(32, 16, 4), EncodeOptions{Quality: 60}, 1)
+	g := groups[0]
+	g.Blocks = append([]CoeffBlock(nil), g.Blocks...)
+	g.Blocks[0].Coeff = [64]int32{}
+	for k := range g.Blocks[1].Coeff {
+		g.Blocks[1].Coeff[k] = int32(k) - 100
+	}
+	empty, err := AppendBlockGroup(nil, BlockGroup{Header: g.Header})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(empty)
+	for i := range g.Blocks {
+		want += coordBytes + maskBytes + 4*nonzero(&g.Blocks[i])
+	}
+	enc, err := AppendBlockGroup(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(enc) != want {
+		t.Errorf("group encodes to %d bytes, want %d", len(enc), want)
+	}
+	back, err := DecodeBlockGroup(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Blocks, g.Blocks) {
+		t.Error("blocks changed crossing the codec")
+	}
+	if nonzero(&g.Blocks[0]) != 0 || nonzero(&g.Blocks[1]) != 64 {
+		t.Fatal("the group lost its all-zero or its dense block")
 	}
 }

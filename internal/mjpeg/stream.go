@@ -186,6 +186,12 @@ func (a *FrameAssembler) Add(g *PixelGroup) (*Image, error) {
 	st := a.pending[g.FrameIndex]
 	if st == nil {
 		st = &frameState{header: g.Header, expected: g.NumGroups}
+		// One buffer per picture, sized for the whole frame from its first
+		// group, unless the header claims more blocks than NumGroups
+		// groups about this one's size can carry.
+		if n := g.Header.TotalBlocks(); g.NumGroups > 0 && g.NumGroups <= n && n <= (len(g.Blocks)+1)*g.NumGroups {
+			st.blocks = make([]PixelBlock, 0, n)
+		}
 		a.pending[g.FrameIndex] = st
 	}
 	if g.NumGroups != st.expected {

@@ -280,3 +280,39 @@ func TestSynthStreamDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestAssemblerOneBufferPerPicture: the first group of a picture, whichever
+// arrives first, sizes the block buffer for the whole frame, so folding in
+// the other groups never moves it.
+func TestAssemblerOneBufferPerPicture(t *testing.T) {
+	_, groups := wireGroups(t, SynthFrame(48, 40, 6), EncodeOptions{Quality: 88}, 7)
+	for _, first := range []int{0, len(groups) - 1} {
+		asm := NewFrameAssembler()
+		pg := TransformGroup(&groups[first])
+		if _, err := asm.Add(&pg); err != nil {
+			t.Fatal(err)
+		}
+		st := asm.pending[3]
+		if cap(st.blocks) != st.header.TotalBlocks() {
+			t.Fatalf("first group %d: buffer holds %d blocks, frame has %d", first, cap(st.blocks), st.header.TotalBlocks())
+		}
+		buf := &st.blocks[0]
+		var img *Image
+		for gi := range groups {
+			if gi == first {
+				continue
+			}
+			if &st.blocks[0] != buf {
+				t.Fatalf("first group %d: buffer moved before group %d", first, gi)
+			}
+			pg := TransformGroup(&groups[gi])
+			var err error
+			if img, err = asm.Add(&pg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if img == nil {
+			t.Fatalf("first group %d: the picture never completed", first)
+		}
+	}
+}

@@ -7,10 +7,12 @@ import (
 	"embera/internal/core"
 	"embera/internal/exp"
 	"embera/internal/mjpeg"
+	"embera/internal/mjpegapp"
 	"embera/internal/monitor"
 	"embera/internal/platform"
 	"embera/internal/sim"
 	"embera/internal/trace"
+	"embera/internal/wire"
 )
 
 // HarnessOptions parameterizes the steady-state observation-overhead
@@ -133,8 +135,10 @@ func ObservationOverhead(opts HarnessOptions) (Record, error) {
 
 // MicroBenchmarks measures the zero-alloc hot paths — the monitor sample
 // path, the native mailbox send and fan-in paths, the sim kernel event loop
-// and its sender herd, and the trace recorder/codec — and the MJPEG decoder's three component
-// kernels via testing.Benchmark, and returns them keyed "micro/<path>".
+// and its sender herd, and the trace recorder/codec — the MJPEG decoder's
+// three component kernels, and one block group's wire encode, decode and
+// hop across a cluster link, via testing.Benchmark, and returns them keyed
+// "micro/<path>".
 // Their allocs_per_op entries are the committed invariant: CI diffs them
 // against the baseline, so a change that re-introduces per-operation
 // allocation on any of these paths fails the build. The native micros park
@@ -152,6 +156,9 @@ func MicroBenchmarks() Record {
 	rec["micro/mjpeg-fetch"] = fromBenchmark(testing.Benchmark(BenchMJPEGFetch))
 	rec["micro/mjpeg-idct"] = fromBenchmark(testing.Benchmark(BenchMJPEGIDCT))
 	rec["micro/mjpeg-reorder"] = fromBenchmark(testing.Benchmark(BenchMJPEGReorder))
+	rec["micro/wire-encode-blockgroup"] = fromBenchmark(testing.Benchmark(BenchWireEncodeBlockGroup))
+	rec["micro/wire-decode-blockgroup"] = fromBenchmark(testing.Benchmark(BenchWireDecodeBlockGroup))
+	rec["micro/cluster-link-hop"] = fromBenchmark(testing.Benchmark(BenchClusterLinkHop))
 	return rec
 }
 
@@ -445,5 +452,110 @@ func BenchMJPEGReorder(b *testing.B) {
 		if _, err := h.AssembleFrame(pix); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// blockGroupFrame is the data frame that carries a reference block group
+// from Fetch to an IDCT on another shard: group 1 of the reference picture,
+// split the decoder's 18 ways.
+func blockGroupFrame(b *testing.B) wire.Frame {
+	h, blocks := refBlocks(b)
+	groups, err := mjpeg.SplitBlocks(0, h, blocks, mjpegapp.DefaultGroupsPerFrame)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := groups[1]
+	return wire.Frame{Type: wire.TypeData, Edge: 1, Bytes: int64(g.PayloadBytes()), From: "Fetch", Payload: g}
+}
+
+// BenchWireEncodeBlockGroup measures encoding one block-group data frame
+// into a warm buffer. It allocates nothing.
+func BenchWireEncodeBlockGroup(b *testing.B) {
+	f := blockGroupFrame(b)
+	buf, err := wire.AppendFrame(nil, &f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = wire.AppendFrame(buf[:0], &f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchWireDecodeBlockGroup measures decoding one block-group data frame
+// body, payload included.
+func BenchWireDecodeBlockGroup(b *testing.B) {
+	f := blockGroupFrame(b)
+	enc, err := wire.AppendFrame(nil, &f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := wire.Raw(enc).Body()
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := wire.DecodeFrame(body, &f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchClusterLinkHop measures one block-group data frame crossing a link
+// between two cluster workers: written to one end of a unix socket pair,
+// read off the other through its buffered reader and decoded, as a
+// consuming worker's link reader does. A writer goroutine keeps the link
+// full, so one read syscall takes in several frames.
+func BenchClusterLinkHop(b *testing.B) {
+	f := blockGroupFrame(b)
+	enc, err := wire.AppendFrame(nil, &f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fa, fz, err := wire.SocketPair()
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := wire.FileConn(fa)
+	if err != nil {
+		fz.Close()
+		b.Fatal(err)
+	}
+	defer in.Close()
+	out, err := wire.FileConn(fz)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer out.Close()
+	n := b.N
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	written := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := in.WriteFrame(&f); err != nil {
+				written <- err
+				return
+			}
+		}
+		written <- nil
+	}()
+	var raw wire.Raw
+	var got wire.Frame
+	for i := 0; i < n; i++ {
+		if raw, err = out.ReadRaw(raw); err != nil {
+			b.Fatal(err)
+		}
+		if err := wire.DecodeFrame(raw.Body(), &got); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := <-written; err != nil {
+		b.Fatal(err)
 	}
 }

@@ -85,18 +85,18 @@ func (c clusterMachine) TakeMonitor(mon *monitor.Monitor, cfg *monitor.Config) {
 // accounting.
 func (c clusterMachine) ShardOf(name string) int { return c.m.ShardOf(name) }
 
-// WireFrames exposes the coordinator's per-edge relay counters: frames
-// counted on the wire for one cross-shard edge.
+// WireFrames exposes the per-edge frame counters: data frames that crossed
+// one cross-shard edge, as its producing worker wrote them to the link.
 func (c clusterMachine) WireFrames(from, iface string) (uint64, bool) {
 	return c.m.WireFrames(from, iface)
 }
 
-// LostFrames exposes the in-flight loss counter (nonzero only after a
-// worker failure).
+// LostFrames exposes the in-flight loss counter: data frames lost to a
+// dead worker (nonzero only after a worker failure).
 func (c clusterMachine) LostFrames() uint64 { return c.m.LostFrames() }
 
-// RelayQueues exposes the depth and high-water of the coordinator's relay
-// queue toward every worker shard.
+// RelayQueues exposes the depth and high-water of the frames waiting to
+// reach every worker shard, as the receiving worker reports them.
 func (c clusterMachine) RelayQueues() []cluster.RelayQueue { return c.m.RelayQueues() }
 
 var _ Interruptible = clusterMachine{}

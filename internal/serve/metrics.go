@@ -21,19 +21,19 @@ func (mw *metricWriter) header(name, help, typ string) {
 	fmt.Fprintf(&mw.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value per the exposition format: backslash,
+// newline and double quote, each as a backslash sequence.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
+// labels renders name/value pairs as a label set, each value escaped once
+// and quoted.
 func labels(kv ...string) string {
 	if len(kv) == 0 {
 		return ""
 	}
 	parts := make([]string, 0, len(kv)/2)
 	for i := 0; i+1 < len(kv); i += 2 {
-		parts = append(parts, fmt.Sprintf("%s=%q", kv[i], escapeLabel(kv[i+1])))
+		parts = append(parts, kv[i]+`="`+labelEscaper.Replace(kv[i+1])+`"`)
 	}
 	return "{" + strings.Join(parts, ",") + "}"
 }

@@ -1,24 +1,31 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 
 	"embera/internal/monitor"
 )
 
+// linkReadBytes sizes the read buffer of a FileConn: one read syscall takes
+// in as many whole frames as fit, so a reader behind on a busy link frames
+// a burst from memory instead of paying two syscalls per frame.
+const linkReadBytes = 64 << 10
+
 // Conn frames an underlying byte stream (TCP or unix socket). Writes are
 // serialized under a mutex into a reusable buffer, so concurrent flows can
 // share one conn; reads are single-reader (each peer runs one reader
-// goroutine). The frame counters make the wire itself observable: the
-// conformance flow invariant counts frames alongside message operations,
-// and the cluster machine reports them as in-flight losses when a worker
-// dies.
+// goroutine) and go through one buffered reader. The frame counters make
+// the wire itself observable.
 type Conn struct {
 	rw io.ReadWriteCloser
+	r  *bufio.Reader
 
 	wmu  sync.Mutex
 	wbuf []byte
@@ -34,8 +41,35 @@ type Conn struct {
 
 // NewConn wraps rw in frame framing.
 func NewConn(rw io.ReadWriteCloser) *Conn {
-	return &Conn{rw: rw}
+	return &Conn{rw: rw, r: bufio.NewReader(rw)}
 }
+
+// FileConn frames the stream socket f, as SocketPair returns or a process
+// inherits it, reading through a buffer sized for a busy link. It takes f
+// over: f is closed in favour of the connection's own descriptor, whether
+// or not framing it succeeds.
+func FileConn(f *os.File) (*Conn, error) {
+	nc, err := net.FileConn(f)
+	f.Close()
+	if err != nil {
+		return nil, fmt.Errorf("wire: socket %s: %w", f.Name(), err)
+	}
+	return &Conn{rw: nc, r: bufio.NewReaderSize(nc, linkReadBytes)}, nil
+}
+
+// WriteError is the error WriteFrame returns when the stream refuses an
+// encoded frame, as when the peer has closed its end. Any other error from
+// WriteFrame is an encoding error, and nothing was written.
+type WriteError struct {
+	Type byte  // the frame's type
+	Err  error // the stream's error
+}
+
+func (e *WriteError) Error() string {
+	return fmt.Sprintf("wire: write frame type %d: %v", e.Type, e.Err)
+}
+
+func (e *WriteError) Unwrap() error { return e.Err }
 
 // WriteFrame encodes and writes one frame. Safe for concurrent use.
 func (c *Conn) WriteFrame(f *Frame) error {
@@ -46,19 +80,8 @@ func (c *Conn) WriteFrame(f *Frame) error {
 		return err
 	}
 	c.wbuf = buf[:0]
-	return c.write(buf)
-}
-
-// WriteRaw writes one already encoded frame. Safe for concurrent use.
-func (c *Conn) WriteRaw(r Raw) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.write(r)
-}
-
-func (c *Conn) write(frame []byte) error {
-	if _, err := c.rw.Write(frame); err != nil {
-		return fmt.Errorf("wire: write frame type %d: %w", frame[4], err)
+	if _, err := c.rw.Write(buf); err != nil {
+		return &WriteError{Type: f.Type, Err: err}
 	}
 	c.framesOut.Add(1)
 	return nil
@@ -84,7 +107,7 @@ func (c *Conn) ReadFrame(f *Frame) error {
 func (c *Conn) ReadRaw(buf Raw) (Raw, error) {
 	dst := append(buf[:0], 0, 0, 0, 0)
 	hdr := dst[:4]
-	if _, err := io.ReadFull(c.rw, hdr); err != nil {
+	if _, err := io.ReadFull(c.r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
@@ -95,7 +118,7 @@ func (c *Conn) ReadRaw(buf Raw) (Raw, error) {
 		return nil, fmt.Errorf("wire: frame body of %d bytes out of range (max %d)", n, MaxFrameBytes)
 	}
 	dst = append(dst, make([]byte, n)...)
-	if _, err := io.ReadFull(c.rw, dst[4:]); err != nil {
+	if _, err := io.ReadFull(c.r, dst[4:]); err != nil {
 		return nil, fmt.Errorf("wire: read frame body: %w", err)
 	}
 	c.framesIn.Add(1)

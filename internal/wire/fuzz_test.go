@@ -5,13 +5,16 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"embera/internal/mjpeg"
 	"embera/internal/monitor"
 	"embera/internal/wire"
 )
@@ -84,19 +87,48 @@ func TestFuzzSeedCorpus(t *testing.T) {
 	}
 }
 
+// TestBadSeedsFailForTheirReason: each seed that declares more than its
+// body holds, or trails bytes past its group, is rejected for that reason
+// and not for an accident of how it was built.
+func TestBadSeedsFailForTheirReason(t *testing.T) {
+	seeds := seedBodies(t)
+	for name, want := range map[string]string{
+		"overrun-windows": "cannot fit",
+		"overrun-from":    "truncated frame",
+		"overrun-name":    "truncated frame",
+		"overrun-ledger":  "cannot fit",
+		"overrun-blocks":  "declares",
+		"overrun-mask":    "truncated group",
+		"trailing-group":  "trailing bytes after the group",
+		"overrun-pixels":  "declares",
+	} {
+		var f wire.Frame
+		if err := wire.DecodeFrame(seeds[name], &f); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("seed %s: error %v does not say %q", name, err, want)
+		}
+	}
+}
+
 // seedBodies builds the seed corpus: one body of every frame type, then
 // bodies whose declared count or length overruns what follows it.
 func seedBodies(t *testing.T) map[string][]byte {
 	rng := rand.New(rand.NewSource(5))
 	bg, pg := refGroups(t)
+	window := randWindow(rng)
+	reports := wire.Frame{
+		Type: wire.TypeReports, Shard: 0, Units: 24, Checksum: 0x8169cfcc6c2a933e,
+		Ledger:  []wire.EdgeCount{{Edge: 1, Sent: 432}, {Edge: 7, Received: 432}},
+		Inbound: wire.QueueDepth{}, InboundPeak: wire.QueueDepth{Frames: 58, Bytes: 189212},
+		Reports: randReports(rng),
+	}
 	frames := map[string]wire.Frame{
 		"hello":           {Type: wire.TypeHello, Shard: 1},
 		"data-scalar":     {Type: wire.TypeData, Edge: 4, Bytes: 64, From: "Source", Payload: uint64(42)},
 		"data-blockgroup": {Type: wire.TypeData, Edge: 1, Bytes: int64(bg.PayloadBytes()), From: "Fetch", Payload: bg},
 		"data-pixelgroup": {Type: wire.TypeData, Edge: 7, Bytes: int64(pg.PayloadBytes()), From: "IDCT_1", Payload: pg},
 		"edgeclose":       {Type: wire.TypeEdgeClose, Edge: 2},
-		"windows":         {Type: wire.TypeWindows, Shard: 1, Windows: []monitor.WindowStats{randWindow(rng)}},
-		"reports":         {Type: wire.TypeReports, Shard: 0, Units: 24, Checksum: 0x8169cfcc6c2a933e, Reports: randReports(rng)},
+		"windows":         {Type: wire.TypeWindows, Shard: 1, Windows: []monitor.WindowStats{window}},
+		"reports":         reports,
 		"sharddone":       {Type: wire.TypeShardDone, Shard: 1},
 		"terminate":       {Type: wire.TypeTerminate},
 		"compkill":        {Type: wire.TypeCompKill, Name: "IDCT_2"},
@@ -119,9 +151,43 @@ func seedBodies(t *testing.T) map[string][]byte {
 	overrun("overrun-windows", "windows", 5)   // window count
 	overrun("overrun-from", "data-scalar", 13) // From length
 	overrun("overrun-name", "compkill", 1)     // component name length
-	blocks := len(seeds["data-blockgroup"]) - len(bg.Blocks)*(3*8+64*4) - 4
-	overrun("overrun-blocks", "data-blockgroup", blocks)
+	overrun("overrun-ledger", "reports", 21)   // ledger edge count
+
+	// A group's blocks are its encoding past the encoding of the same
+	// group with none; the block count sits just before them, and the
+	// group's own length just before the whole group.
+	group, err := mjpeg.AppendBlockGroup(nil, bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := mjpeg.AppendBlockGroup(nil, mjpeg.BlockGroup{Header: bg.Header})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := seeds["data-blockgroup"]
+	overrun("overrun-blocks", "data-blockgroup", len(body)-(len(group)-len(head))-4)
+	// The last block's nonzero mask, with every bit set: its popcount
+	// asks for more coefficients than the bytes left hold.
+	last := len(body) - 4*nonzero(&bg.Blocks[len(bg.Blocks)-1]) - 8
+	b := bytes.Clone(body)
+	binary.LittleEndian.PutUint64(b[last:], math.MaxUint64)
+	seeds["overrun-mask"] = b
+	// The group's length grown by three bytes that follow its last block.
+	b = binary.LittleEndian.AppendUint32(bytes.Clone(body[:len(body)-len(group)-4]), uint32(len(group)+3))
+	seeds["trailing-group"] = append(append(b, group...), 1, 2, 3)
+
 	pixels := len(seeds["data-pixelgroup"]) - len(pg.Blocks)*(3*8+64) - 4
 	overrun("overrun-pixels", "data-pixelgroup", pixels)
 	return seeds
+}
+
+// nonzero counts a block's nonzero coefficients.
+func nonzero(b *mjpeg.CoeffBlock) int {
+	n := 0
+	for _, c := range b.Coeff {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -11,11 +11,10 @@
 //
 // Frame layout: a uint32 little-endian body length, then the body; the
 // body's first byte is the frame type, and a data or edge-close body
-// continues with its uint32 edge. That fixed routing header lets a relay
-// forward data frames as Raw bytes, leaving the payload to be decoded once,
-// by the receiver. Bodies longer than MaxFrameBytes are rejected on both
-// ends, so a corrupt length prefix cannot make a reader allocate unbounded
-// memory.
+// continues with its uint32 edge, so a receiver that cannot decode a
+// payload still names the edge it arrived on. Bodies longer than
+// MaxFrameBytes are rejected on both ends, so a corrupt length prefix
+// cannot make a reader allocate unbounded memory.
 package wire
 
 import (
@@ -32,8 +31,8 @@ import (
 // Frame types.
 const (
 	TypeHello     = byte(iota + 1) // worker → coordinator: shard identity
-	TypeData                       // message crossing a shard boundary
-	TypeEdgeClose                  // producer of an edge terminated
+	TypeData                       // worker → worker: message crossing a shard boundary
+	TypeEdgeClose                  // worker → worker: producer of an edge terminated
 	TypeWindows                    // batch of monitor windows from a worker
 	TypeReports                    // worker's final observation reports + workload partials
 	TypeShardDone                  // coordinator → workers: shard finished
@@ -76,11 +75,15 @@ type Frame struct {
 	From    string
 	Payload any
 
-	// Reports fields: the workload partials and final per-component
-	// observation reports of one shard.
-	Units    int64
-	Checksum uint64
-	Reports  map[string]core.ObsReport
+	// Reports fields: one shard's workload partials, its count of every
+	// cross-shard edge it produces or consumes on, the depth and
+	// high-water of its inbound edge queues, and its final per-component
+	// observation reports.
+	Units                int64
+	Checksum             uint64
+	Ledger               []EdgeCount
+	Inbound, InboundPeak QueueDepth
+	Reports              map[string]core.ObsReport
 
 	// Windows fields.
 	Windows []monitor.WindowStats
@@ -89,18 +92,35 @@ type Frame struct {
 	Name string
 }
 
-// Raw is one encoded frame, length prefix included: the bytes AppendFrame
-// appends and Conn.ReadRaw returns. A relay routes it on Type and Edge and
-// writes it on unchanged, without decoding its payload.
-type Raw []byte
+// EdgeCount is one shard's count of the data frames one cross-shard edge
+// carried: Sent and Lost by the shard that produces on the edge, Received
+// by the shard that consumes from it.
+type EdgeCount struct {
+	Edge uint32
+	// Sent counts frames written to the link; Lost counts frames that
+	// could not be written because the consuming shard was gone.
+	Sent, Lost uint64
+	// Received counts frames read from the link.
+	Received uint64
+}
 
-// Type returns the frame type.
-func (r Raw) Type() byte { return r[4] }
+// edgeCountBytes is the encoded size of an EdgeCount.
+const edgeCountBytes = 4 + 3*8
+
+// QueueDepth is an occupancy of a frame queue.
+type QueueDepth struct {
+	Frames int // frames
+	Bytes  int // their encoded bytes
+}
+
+// Raw is one encoded frame, length prefix included: the bytes AppendFrame
+// appends and Conn.ReadRaw returns.
+type Raw []byte
 
 // Edge returns the edge of a data or edge-close frame; ok is false for any
 // other type and for a body too short to hold the edge.
 func (r Raw) Edge() (edge uint32, ok bool) {
-	if t := r.Type(); (t != TypeData && t != TypeEdgeClose) || len(r) < 9 {
+	if t := r[4]; (t != TypeData && t != TypeEdgeClose) || len(r) < 9 {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint32(r[5:]), true
@@ -142,6 +162,17 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, f.Shard)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Units))
 		buf = binary.LittleEndian.AppendUint64(buf, f.Checksum)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Ledger)))
+		for _, e := range f.Ledger {
+			buf = binary.LittleEndian.AppendUint32(buf, e.Edge)
+			buf = binary.LittleEndian.AppendUint64(buf, e.Sent)
+			buf = binary.LittleEndian.AppendUint64(buf, e.Lost)
+			buf = binary.LittleEndian.AppendUint64(buf, e.Received)
+		}
+		for _, q := range [...]QueueDepth{f.Inbound, f.InboundPeak} {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(q.Frames))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(q.Bytes))
+		}
 		js, jerr := json.Marshal(f.Reports)
 		if jerr != nil {
 			return nil, fmt.Errorf("wire: encoding reports: %w", jerr)
@@ -196,6 +227,20 @@ func DecodeFrame(body []byte, f *Frame) error {
 		f.Shard = d.u32()
 		f.Units = int64(d.u64())
 		f.Checksum = d.u64()
+		n := d.u32()
+		if left := len(d.b) - d.off; d.err == nil && uint64(n) > uint64(left/edgeCountBytes) {
+			return fmt.Errorf("wire: ledger of %d edges cannot fit %d body bytes", n, left)
+		}
+		if d.err == nil && n > 0 {
+			f.Ledger = make([]EdgeCount, n)
+			for i := range f.Ledger {
+				e := &f.Ledger[i]
+				e.Edge = d.u32()
+				e.Sent, e.Lost, e.Received = d.u64(), d.u64(), d.u64()
+			}
+		}
+		f.Inbound = QueueDepth{Frames: int(int64(d.u64())), Bytes: int(int64(d.u64()))}
+		f.InboundPeak = QueueDepth{Frames: int(int64(d.u64())), Bytes: int(int64(d.u64()))}
 		js := d.bytes()
 		if d.err == nil {
 			if err := json.Unmarshal(js, &f.Reports); err != nil {

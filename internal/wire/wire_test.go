@@ -90,6 +90,13 @@ func randFrame(rng *rand.Rand) wire.Frame {
 		f.Shard = rng.Uint32()
 		f.Units = rng.Int63()
 		f.Checksum = rng.Uint64()
+		for i := rng.Intn(4); i > 0; i-- {
+			f.Ledger = append(f.Ledger, wire.EdgeCount{
+				Edge: rng.Uint32(), Sent: rng.Uint64(), Lost: rng.Uint64(), Received: rng.Uint64(),
+			})
+		}
+		f.Inbound = wire.QueueDepth{Frames: rng.Intn(1 << 20), Bytes: rng.Int()}
+		f.InboundPeak = wire.QueueDepth{Frames: rng.Intn(1 << 20), Bytes: rng.Int()}
 		f.Reports = randReports(rng)
 	case wire.TypeCompKill, wire.TypeError:
 		f.Name = randString(rng, 1+rng.Intn(32))
