@@ -427,6 +427,16 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 // (micro/monitor-sample-tick).
 func BenchmarkMonitorSamplePath(b *testing.B) { perfstat.BenchMonitorSampleTick(b) }
 
+// BenchmarkAggregatorFold measures the monitor's fold of one 25-sample tick
+// of the wide burst assembly, flushing a window every 10 ticks, pinned at 0
+// allocs/op by the committed perfstat baseline (micro/aggregator-fold).
+func BenchmarkAggregatorFold(b *testing.B) { perfstat.BenchAggregatorFold(b) }
+
+// BenchmarkMonitorWindow measures one closed window written to the
+// monitor's memory sink and one configured sink (perfstat's
+// micro/monitor-window body).
+func BenchmarkMonitorWindow(b *testing.B) { perfstat.BenchMonitorWindow(b) }
+
 // BenchmarkNativePipelineThroughput runs the synthetic pipeline workload on
 // the native (goroutine) platform end to end — real concurrency, wall-clock
 // timing, the full observation stack attached — and reports real messages

@@ -89,14 +89,20 @@ var specKeys = []string{"clients", "servers", "fanout", "reqs", "rate", "bytes",
 // seeded form (every dimension PRNG-derived); otherwise the argument is a
 // comma-separated key=value list over the explicit grammar, with any
 // omitted key taking its default. Out-of-range values (rate=-1, fanout
-// beyond the server count, unknown keys, ...) are rejected here, before a
-// run starts, so malformed specs surface as uniform usage errors.
+// beyond the server count, a seed above 1<<62, unknown keys, ...) are
+// rejected here, in either form, before a run starts, so malformed specs
+// surface as uniform usage errors. Every spec it accepts passes Validate,
+// and its Arg parses back to the same spec.
 func ParseSpec(arg string) (*Spec, error) {
 	if seed, err := strconv.ParseInt(arg, 10, 64); err == nil {
 		if seed < 0 {
 			return nil, fmt.Errorf("burstwl: seed %d must be non-negative", seed)
 		}
-		return NewSpec(seed), nil
+		s := NewSpec(seed)
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
+		return s, nil
 	}
 	s := &Spec{ // explicit-form defaults: a small, tail-heavy cell
 		Clients: 2, Servers: 3, Fanout: 2, Reqs: 32,
@@ -138,7 +144,10 @@ func ParseSpec(arg string) (*Spec, error) {
 			return nil, fmt.Errorf("burstwl: unknown key %q (grammar: %s)", k, strings.Join(specKeys, ","))
 		}
 	}
-	return s, s.Validate()
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Validate rejects specs that cannot run or would run unboundedly.

@@ -60,6 +60,15 @@ type Instance interface {
 	Summary() string
 }
 
+// StreamCarrier is implemented by workload instances built from an input
+// stream, as the MJPEG decoder's is. When a run names no stream (only a
+// scale), Distribute ships the stream the coordinator's instance was built
+// from, so every worker rebuilds the assembly from those bytes instead of
+// synthesizing and encoding the whole input once more.
+type StreamCarrier interface {
+	Stream() []byte
+}
+
 // ShardMerger is implemented by workload instances that can fold another
 // shard's partial results into their own counters. The coordinator calls it
 // from a single orchestrator goroutine, once per worker report.

@@ -44,6 +44,7 @@ func init() {
 			return binary.LittleEndian.AppendUint64(buf, uint64(p.N)), nil
 		},
 		func([]byte) (picky, error) { return picky{}, errors.New("picky rejects every encoding") })
+	platform.RegisterWorkload("stream-probe", func() platform.Workload { return streamProbe{} })
 	for name, payload := range map[string]func(int) any{
 		"wirefail-nocodec": func(i int) any { return noCodec{i} },
 		"wirefail-picky":   func(i int) any { return picky{i} },
@@ -104,6 +105,74 @@ func (w *failWorkload) Check() error {
 		return fmt.Errorf("received %d payloads, want %d", w.Units(), w.want)
 	}
 	return nil
+}
+
+// streamProbe is a workload built from an input stream, as the MJPEG
+// decoder is: without one it synthesizes its input from the scale. Its
+// instance carries the stream it was built from, and reports one unit per
+// build and, as its checksum, how many of those builds were handed the
+// coordinator's stream rather than synthesizing their own.
+type streamProbe struct{}
+
+// probeStream is the input a stream probe synthesizes at scale.
+func probeStream(scale int) []byte { return []byte(fmt.Sprintf("synthesized input, scale %d", scale)) }
+
+func (streamProbe) Name() string     { return "stream-probe" }
+func (streamProbe) Describe() string { return "records whether its build was handed a stream" }
+
+func (streamProbe) Build(a *core.App, _ platform.Platform, opts platform.Options) (platform.Instance, error) {
+	inst := &probeInstance{stream: opts.Stream, units: 1}
+	if inst.stream == nil {
+		inst.stream = probeStream(opts.Scale)
+	} else if string(inst.stream) == string(probeStream(opts.Scale)) {
+		inst.handed = 1
+	}
+	if _, err := a.NewComponent("Probe", func(*core.Ctx) {}); err != nil {
+		return nil, err
+	}
+	return inst, nil
+}
+
+type probeInstance struct {
+	stream []byte
+	units  int
+	handed uint64
+}
+
+func (p *probeInstance) Stream() []byte   { return p.stream }
+func (p *probeInstance) Units() int       { return p.units }
+func (p *probeInstance) Checksum() uint64 { return p.handed }
+func (p *probeInstance) Check() error     { return nil }
+func (p *probeInstance) Summary() string {
+	return fmt.Sprintf("%d builds, %d handed the stream", p.units, p.handed)
+}
+
+func (p *probeInstance) MergeShard(units int, checksum uint64) {
+	p.units += units
+	p.handed += checksum
+}
+
+// TestWorkersReuseTheBuiltStream: a cluster run given a scale but no
+// stream ships the stream the coordinator built to every worker, so no
+// worker synthesizes the input a second time.
+func TestWorkersReuseTheBuiltStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	p := platform.MustGet("cluster")
+	run, err := exp.Run(p, platform.MustGetWorkload("stream-probe"), exp.Options{
+		Options: platform.Options{Scale: 24},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := run.Instance.Units() - 1 // every build but the coordinator's
+	if workers < 2 {
+		t.Fatalf("%d worker builds, want one per worker", workers)
+	}
+	if got := run.Instance.Checksum(); got != uint64(workers) {
+		t.Errorf("%d of %d workers were handed the coordinator's stream; the rest synthesized their own", got, workers)
+	}
 }
 
 // TestDataPathFailuresAreNamed: a payload that cannot cross the wire fails

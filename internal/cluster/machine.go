@@ -120,10 +120,11 @@ func (m *Machine) NowUS() int64 { return m.nm.NowUS() }
 
 // Distribute switches the machine into sharded mode: the named registry
 // workload (already built onto the bound app by the caller) will be rebuilt
-// identically by every worker, components are partitioned by ShardOf, and
-// the coordinator keeps only supervision — every component is marked
-// external here so local samplers and spawns skip them. Must be called
-// after assembly and before Start/Run.
+// identically by every worker — from stream when it is given, else from
+// the stream inst carries (StreamCarrier) — components are partitioned by
+// ShardOf, and the coordinator keeps only supervision: every component is
+// marked external here so local samplers and spawns skip them. Must be
+// called after assembly and before Start/Run.
 func (m *Machine) Distribute(workload string, scale, messageBytes int, stream []byte, inst Instance) error {
 	if m.multi {
 		return fmt.Errorf("cluster: already distributed")
@@ -136,6 +137,11 @@ func (m *Machine) Distribute(workload string, scale, messageBytes int, stream []
 	}
 	if inst == nil {
 		return fmt.Errorf("cluster: distribute needs the workload instance")
+	}
+	if len(stream) == 0 {
+		if sc, ok := inst.(StreamCarrier); ok {
+			stream = sc.Stream()
+		}
 	}
 	m.multi = true
 	m.workload = workload

@@ -301,11 +301,10 @@ func (a *App) Start() error {
 	a.connMu.Unlock()
 
 	for _, c := range a.order {
-		for _, name := range c.providedOrder {
-			pi := c.provided[name]
-			mb, err := a.binding.NewMailbox(c, name, pi.bufBytes)
+		for _, pi := range c.providedList {
+			mb, err := a.binding.NewMailbox(c, pi.name, pi.bufBytes)
 			if err != nil {
-				return fmt.Errorf("core: %s.%s: %w", c.name, name, err)
+				return fmt.Errorf("core: %s.%s: %w", c.name, pi.name, err)
 			}
 			pi.setBox(mb)
 		}
@@ -375,8 +374,10 @@ type Component struct {
 	app  *App
 	body Body
 
-	provided      map[string]*ProvidedIface
-	providedOrder []string
+	provided map[string]*ProvidedIface
+	// providedList holds the provided interfaces in declaration order, so
+	// the per-tick sampling sweep walks them without a map lookup each.
+	providedList  []*ProvidedIface
 	required      map[string]*RequiredIface
 	requiredOrder []string
 
@@ -450,8 +451,9 @@ func (c *Component) AddProvided(name string, bufBytes int64) error {
 	if bufBytes < 0 {
 		return fmt.Errorf("core: negative buffer size %d", bufBytes)
 	}
-	c.provided[name] = &ProvidedIface{comp: c, name: name, bufBytes: bufBytes}
-	c.providedOrder = append(c.providedOrder, name)
+	pi := &ProvidedIface{comp: c, name: name, bufBytes: bufBytes}
+	c.provided[name] = pi
+	c.providedList = append(c.providedList, pi)
 	return nil
 }
 
@@ -509,7 +511,11 @@ func (c *Component) RegisterProbe(name string, fn func() int64) error {
 
 // ProvidedNames returns the provided interface names in declaration order.
 func (c *Component) ProvidedNames() []string {
-	return append([]string(nil), c.providedOrder...)
+	var names []string
+	for _, pi := range c.providedList {
+		names = append(names, pi.name)
+	}
+	return names
 }
 
 // RequiredNames returns the required interface names in declaration order.

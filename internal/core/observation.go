@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ObsLevel selects which software level an observation request targets. The
 // paper: "MPSoC observation has to take into account at least three levels:
@@ -135,8 +138,7 @@ func (c *Component) Snapshot(level ObsLevel) ObsReport {
 // the application required interfaces.
 func (c *Component) InterfaceList() []IfaceInfo {
 	out := []IfaceInfo{{Name: ObsIfaceName, Type: "provided", Connected: true}}
-	for _, name := range c.providedOrder {
-		pi := c.provided[name]
+	for _, pi := range c.providedList {
 		buf := pi.bufBytes
 		depth := 0
 		if mb := pi.box(); mb != nil {
@@ -147,7 +149,7 @@ func (c *Component) InterfaceList() []IfaceInfo {
 		connected := pi.conns > 0
 		c.app.connMu.Unlock()
 		out = append(out, IfaceInfo{
-			Name: name, Type: "provided",
+			Name: pi.name, Type: "provided",
 			Connected: connected, BufBytes: buf, Depth: depth,
 		})
 	}
@@ -288,15 +290,14 @@ func (c *Component) FastSnapshot(level ObsLevel, s *FastSample) {
 
 // fastSnapshot is FastSnapshot with an optional sweep cookie: when sv is
 // non-nil the OS view is evaluated at the cookie's clock reading instead of
-// taking a fresh one, which is how SampleAll amortizes one clock read over
-// a whole sweep.
+// taking a fresh one, which is how a sampling sweep amortizes one clock
+// read over every component. It writes every field of *s.
 func (c *Component) fastSnapshot(level ObsLevel, s *FastSample, sv SweepViewer, cookie int64) {
 	s.Component = c.name
 	s.State = c.State()
 	s.SendOps, s.RecvOps, s.SendBytes, s.RecvBytes, s.SendUS, s.RecvUS = c.stats.totals()
 	s.Depth, s.DepthSum, s.BufBytes = 0, 0, 0
-	for _, name := range c.providedOrder {
-		pi := c.provided[name]
+	for _, pi := range c.providedList {
 		mb := pi.box()
 		if mb == nil {
 			s.BufBytes += pi.bufBytes
@@ -321,6 +322,48 @@ func (c *Component) fastSnapshot(level ObsLevel, s *FastSample, sv SweepViewer, 
 	}
 }
 
+// SampleSweep is one sampling pass over an application's components, in
+// creation order, writing each component's FastSample into a slot its
+// caller provides: the streaming monitor fills its ring batch in place
+// with it, so a sample is written once rather than built and copied.
+type SampleSweep struct {
+	comps  []*Component
+	level  ObsLevel
+	sv     SweepViewer
+	cookie int64
+}
+
+// BeginSample starts a sampling pass at level. At LevelOS and LevelAll a
+// binding exposing the SweepViewer refinement is read once, here, and every
+// component's OS view is evaluated against that reading instead of a fresh
+// clock read per component.
+func (a *App) BeginSample(level ObsLevel) SampleSweep {
+	sw := SampleSweep{comps: a.order, level: level}
+	if level == LevelOS || level == LevelAll {
+		if v, ok := a.binding.(SweepViewer); ok {
+			sw.sv, sw.cookie = v, v.BeginSweep()
+		}
+	}
+	return sw
+}
+
+// Len reports how many components the pass visits.
+func (sw *SampleSweep) Len() int { return len(sw.comps) }
+
+// Fill writes the i-th component's sample into *s, overwriting every
+// field, and reports true. An external component is sampled by its owning
+// process (windowing it here too would double-count its windows in the
+// merged stream of a sharded assembly): Fill leaves *s untouched and
+// reports false.
+func (sw *SampleSweep) Fill(i int, s *FastSample) bool {
+	c := sw.comps[i]
+	if c.external.Load() {
+		return false
+	}
+	c.fastSnapshot(sw.level, s, sw.sv, sw.cookie)
+	return true
+}
+
 // SampleAll is the streaming-observation fast path: one FastSample per
 // component, appended to dst (pass dst[:0] to reuse a buffer across ticks),
 // in component creation order. It reads component state directly instead of
@@ -329,28 +372,15 @@ func (c *Component) fastSnapshot(level ObsLevel, s *FastSample, sv SweepViewer, 
 // allocation — the prerequisite for sampling every component at millisecond
 // periods without perturbing the observed application.
 func (a *App) SampleAll(level ObsLevel, dst []FastSample) []FastSample {
-	// One clock read per sweep: bindings exposing the SweepViewer
-	// refinement evaluate every component's OS view against a single
-	// BeginSweep cookie instead of reading the clock per component.
-	var sv SweepViewer
-	var cookie int64
-	if level == LevelOS || level == LevelAll {
-		if v, ok := a.binding.(SweepViewer); ok {
-			sv, cookie = v, v.BeginSweep()
+	sw := a.BeginSample(level)
+	n := len(dst)
+	dst = slices.Grow(dst, sw.Len())[:n+sw.Len()]
+	for i := 0; i < sw.Len(); i++ {
+		if sw.Fill(i, &dst[n]) {
+			n++
 		}
 	}
-	for _, c := range a.order {
-		if c.external.Load() {
-			// Sharded assemblies: the component's owning process samples
-			// it; windowing it here too would double-count its windows in
-			// the merged stream.
-			continue
-		}
-		var s FastSample
-		c.fastSnapshot(level, &s, sv, cookie)
-		dst = append(dst, s)
-	}
-	return dst
+	return dst[:n]
 }
 
 // QueryAll requests level from every component and collects the replies,

@@ -146,23 +146,36 @@ func (st *stats) readConsistent(read func()) {
 				return
 			}
 		}
-		if spins%32 == 31 {
-			runtime.Gosched()
-		}
+		backOff(spins)
 	}
 }
 
-// totals reads the flat counters consistently (the SampleAll fast path).
+// backOff yields the processor every 32nd failed seqlock read.
+func backOff(spins int) {
+	if spins%32 == 31 {
+		runtime.Gosched()
+	}
+}
+
+// totals reads the flat counters consistently: the sampling sweep's read,
+// once per component per tick, so it spells out readConsistent's loop
+// rather than paying for a closure.
 func (st *stats) totals() (sendOps, recvOps, sendBytes, recvBytes uint64, sendUS, recvUS int64) {
-	st.readConsistent(func() {
-		sendOps = st.sendOps.Load()
-		recvOps = st.recvOps.Load()
-		sendBytes = st.sendBytes.Load()
-		recvBytes = st.recvBytes.Load()
-		sendUS = st.sendUS.Load()
-		recvUS = st.recvUS.Load()
-	})
-	return
+	for spins := 0; ; spins++ {
+		s1 := st.seq.Load()
+		if s1&1 == 0 {
+			sendOps = st.sendOps.Load()
+			recvOps = st.recvOps.Load()
+			sendBytes = st.sendBytes.Load()
+			recvBytes = st.recvBytes.Load()
+			sendUS = st.sendUS.Load()
+			recvUS = st.recvUS.Load()
+			if st.seq.Load() == s1 {
+				return
+			}
+		}
+		backOff(spins)
+	}
 }
 
 // ops reads just the operation counters.

@@ -1,6 +1,7 @@
 package mjpegapp_test
 
 import (
+	"bytes"
 	"testing"
 
 	"embera/internal/core"
@@ -363,5 +364,41 @@ func TestDeterministicVirtualTimes(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("nondeterministic execution time: %d vs %d", a, b)
+	}
+}
+
+// TestWorkloadInstanceCarriesItsStream: a registry-built decoder exposes
+// the stream it was built from, the one its options gave or, from a scale
+// alone, the one it synthesized, so a sharded run can hand its workers
+// those bytes instead of having each synthesize the input again.
+func TestWorkloadInstanceCarriesItsStream(t *testing.T) {
+	given := testStream(t)
+	const frames = 3
+	synth, err := mjpeg.SynthStream(mjpegapp.RefW, mjpegapp.RefH, frames, mjpeg.EncodeOptions{Quality: mjpegapp.RefQuality})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts platform.Options
+		want []byte
+	}{
+		{"given", platform.Options{Stream: given}, given},
+		{"synthesized", platform.Options{Scale: frames}, synth},
+	} {
+		p := platform.MustGet("smp")
+		_, a := p.New("mjpeg")
+		inst, err := platform.MustGetWorkload("mjpeg").Build(a, p, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, ok := inst.(interface{ Stream() []byte })
+		if !ok {
+			t.Fatalf("%s: the decoder instance carries no stream", tc.name)
+		}
+		if !bytes.Equal(sc.Stream(), tc.want) {
+			t.Errorf("%s: the instance carries a %d-byte stream, not the %d bytes it was built from",
+				tc.name, len(sc.Stream()), len(tc.want))
+		}
 	}
 }

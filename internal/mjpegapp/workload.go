@@ -91,6 +91,11 @@ type instance struct {
 // App exposes the assembled application (topology handles, FramesDecoded).
 func (in *instance) App() *App { return in.app }
 
+// Stream returns the stream the decoder was built from, given or
+// synthesized: the cluster coordinator ships it to its workers, which then
+// rebuild the same assembly without synthesizing the input again.
+func (in *instance) Stream() []byte { return in.app.cfg.Stream }
+
 func (in *instance) Units() int { return in.app.FramesDecoded() + in.extra }
 
 func (in *instance) Checksum() uint64 { return in.sum }

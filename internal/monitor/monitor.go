@@ -24,6 +24,7 @@ package monitor
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -172,10 +173,6 @@ type Monitor struct {
 	samplersDone chan struct{}
 	pumpWake     chan struct{} // interrupts the pump's wall-clock wait
 
-	// drainBuf is the pump flow's reusable drain scratch (the pump is the
-	// only flow touching it).
-	drainBuf []Sample
-
 	stop     chan struct{}
 	stopOnce sync.Once
 }
@@ -261,7 +258,9 @@ func New(app *core.App, cfg Config) (*Monitor, error) {
 		m.samplers = append(m.samplers, st)
 	}
 	m.windowUS.Store(cfg.WindowUS)
-	m.cfg.Sinks = append([]Sink{m.mem}, cfg.Sinks...)
+	// The monitor keeps its own copy of the sink list: the memory sink is
+	// written ahead of it, by pointer.
+	m.cfg.Sinks = slices.Clone(cfg.Sinks)
 	// Sinks that record loss accounting alongside the data (the JSONL
 	// export) get the monitor's counters wired in here, so every report
 	// path can surface drops without the assembly threading the monitor
@@ -298,23 +297,30 @@ func (m *Monitor) Start() error {
 }
 
 // SampleTick is the monitor's per-tick hot path: sweep every component of
-// app through the SampleAll fast path into buf, wrap the sweep into ring
-// samples stamped nowUS in batch, and push the whole tick through the
-// writer's shard partition (one producer-cursor release per shard instead
-// of a lock per sample). It returns the accepted count and the two buffers
-// for reuse — pass them back on the next tick and the steady state
-// allocates nothing.
+// app, writing each component's sample stamped nowUS straight into its slot
+// of batch, and push the whole tick through the writer's shard partition
+// (one producer-cursor release per shard instead of a lock per sample),
+// which copies each slot into the ring once. It returns the accepted count
+// and batch for reuse, holding the tick's samples — pass it back on the
+// next tick and the steady state allocates nothing. buf is returned as
+// passed: the sweep needs no buffer of its own.
 //
 // It is exported so the top-level benchmarks, the perfstat micro harness
 // and the zero-alloc regression test measure exactly the code the sampler
 // flows execute, not a copy that could drift.
 func SampleTick(app *core.App, level core.ObsLevel, nowUS int64, w *Writer,
 	buf []core.FastSample, batch []Sample) (accepted int, bufOut []core.FastSample, batchOut []Sample) {
-	buf = app.SampleAll(level, buf[:0])
-	batch = batch[:0]
-	for i := range buf {
-		batch = append(batch, Sample{TimeUS: nowUS, Level: level, FastSample: buf[i]})
+	sw := app.BeginSample(level)
+	batch = slices.Grow(batch[:0], sw.Len())[:sw.Len()]
+	n := 0
+	for i := range batch {
+		s := &batch[n]
+		if sw.Fill(i, &s.FastSample) {
+			s.TimeUS, s.Level = nowUS, level
+			n++
+		}
 	}
+	batch = batch[:n]
 	return w.PushBatch(batch), buf, batch
 }
 
@@ -331,9 +337,7 @@ func (m *Monitor) sampleLoop(f core.Flow, st *samplerState) {
 			close(m.samplersDone)
 		}
 	}()
-	n := len(m.app.Components())
-	buf := make([]core.FastSample, 0, n)
-	batch := make([]Sample, 0, n)
+	batch := make([]Sample, 0, len(m.app.Components()))
 	var timer *time.Timer
 	if m.wallClock {
 		timer = time.NewTimer(time.Hour)
@@ -351,7 +355,7 @@ func (m *Monitor) sampleLoop(f core.Flow, st *samplerState) {
 			t0 = time.Now()
 		}
 		var accepted int
-		accepted, buf, batch = SampleTick(m.app, st.level, m.nowUS(), st.writer, buf, batch)
+		accepted, _, batch = SampleTick(m.app, st.level, m.nowUS(), st.writer, nil, batch)
 		if accepted > 0 {
 			m.samples.Add(uint64(accepted))
 		}
@@ -487,24 +491,30 @@ func (m *Monitor) pumpLoopWall() {
 	}
 }
 
-// drainAndFlush moves every buffered sample into the aggregator, closes the
-// window at now and streams it to the sinks, returning how many samples the
-// drain moved. The drain scratch and the aggregator's flush buffer are both
-// reused run-long, so a window costs no allocation beyond what the sinks
-// retain.
+// drainAndFlush folds every buffered sample into the aggregator, closes the
+// window at now and streams it to the sinks, returning how many samples it
+// folded. Each sample is folded where it lies in its ring slot and each
+// window is written once, into the aggregator's reusable flush buffer; the
+// built-in memory sink reads it there, and only the configured sinks take
+// a copy. So a window costs no allocation beyond what the sinks retain.
 func (m *Monitor) drainAndFlush(now int64) int {
-	m.drainBuf = m.ring.DrainInto(m.drainBuf[:0])
-	for i := range m.drainBuf {
-		m.agg.Add(m.drainBuf[i])
+	n := m.ring.fold(m.agg)
+	ws := m.agg.Flush(now)
+	for i := range ws {
+		m.writeWindow(&ws[i])
 	}
-	for _, w := range m.agg.Flush(now) {
-		for _, sink := range m.cfg.Sinks {
-			if err := sink.WriteWindow(w); err != nil {
-				m.sinkErrs.Add(1)
-			}
+	return n
+}
+
+// writeWindow hands one closed window to the memory sink and then to every
+// configured sink, counting the writes they reject.
+func (m *Monitor) writeWindow(w *WindowStats) {
+	m.mem.writeWindow(w)
+	for _, sink := range m.cfg.Sinks {
+		if err := sink.WriteWindow(*w); err != nil {
+			m.sinkErrs.Add(1)
 		}
 	}
-	return len(m.drainBuf)
 }
 
 // Stop asks the sampler and pump flows to wind down even though the
@@ -632,11 +642,7 @@ func (m *Monitor) Samples() uint64 { return m.samples.Load() }
 // by exactly one aggregator. Safe to call concurrently with the pump: every
 // bundled sink serializes WriteWindow internally.
 func (m *Monitor) Ingest(w WindowStats) {
-	for _, sink := range m.cfg.Sinks {
-		if err := sink.WriteWindow(w); err != nil {
-			m.sinkErrs.Add(1)
-		}
-	}
+	m.writeWindow(&w)
 	m.samples.Add(uint64(w.Samples))
 }
 

@@ -185,14 +185,24 @@ func (w *Writer) PushBatch(s []Sample) int {
 	for start := 0; start < np && start < len(s); start++ {
 		sh := &w.ring.shards[w.shards[start]]
 		t := sh.tail.Load()
-		free := uint64(len(sh.buf)) - (t - sh.head.Load())
+		n := uint64(len(sh.buf))
+		free := n - (t - sh.head.Load())
+		// One division per shard, not one per sample: the slot index
+		// wraps by comparison. (A released ring has no buffer and no room.)
+		var slot uint64
+		if free > 0 {
+			slot = t % n
+		}
 		var drops uint64
 		for i := start; i < len(s); i += np {
 			if free == 0 {
 				drops++
 				continue
 			}
-			sh.buf[t%uint64(len(sh.buf))] = s[i]
+			sh.buf[slot] = s[i]
+			if slot++; slot == n {
+				slot = 0
+			}
 			t++
 			free--
 			accepted++
@@ -209,21 +219,54 @@ func (w *Writer) PushBatch(s []Sample) int {
 // (FIFO within a shard) to dst, and returns the extended slice. Each shard
 // costs one acquire of the producer cursor and one release of the consumer
 // cursor for the whole window; pass dst[:0] to reuse a scratch buffer
-// across drains, which is what keeps the pump flow allocation-free at
-// steady state. The caller must be the ring's sole consumer.
+// across drains. The caller must be the ring's sole consumer.
 func (r *Ring) DrainInto(dst []Sample) []Sample {
 	for i := range r.shards {
-		sh := &r.shards[i]
-		t := sh.tail.Load()
-		n := uint64(len(sh.buf))
-		for h := sh.head.Load(); h != t; h++ {
-			slot := &sh.buf[h%n]
-			dst = append(dst, *slot)
-			*slot = Sample{} // release payload references
-		}
-		sh.head.Store(t)
+		r.shards[i].consume(func(seg []Sample) { dst = append(dst, seg...) })
 	}
 	return dst
+}
+
+// fold folds every buffered sample into ag in shard order (FIFO within a
+// shard), reading each where it lies in its ring slot, and returns how
+// many it folded: the pump's drain, which copies no sample out of the
+// ring. The caller must be the ring's sole consumer.
+func (r *Ring) fold(ag *Aggregator) int {
+	total := 0
+	for i := range r.shards {
+		total += r.shards[i].consume(func(seg []Sample) {
+			for j := range seg {
+				ag.add(&seg[j])
+			}
+		})
+	}
+	return total
+}
+
+// consume hands the shard's buffered samples to use, as at most two
+// contiguous runs of slots (the second when the run wraps past the end of
+// the buffer), then clears the slots, so they hold no payload references
+// and a released buffer goes back to the pool all zero, and gives them
+// back to the producer with one release of the consumer cursor. It returns
+// how many samples it consumed.
+func (sh *spscShard) consume(use func(seg []Sample)) int {
+	t := sh.tail.Load()
+	h := sh.head.Load()
+	if h == t {
+		return 0
+	}
+	n := uint64(len(sh.buf))
+	start, count := h%n, t-h
+	first := sh.buf[start:min(n, start+count)]
+	use(first)
+	clear(first)
+	if rest := count - uint64(len(first)); rest > 0 {
+		wrapped := sh.buf[:rest]
+		use(wrapped)
+		clear(wrapped)
+	}
+	sh.head.Store(t)
+	return int(count)
 }
 
 // Drain removes every buffered sample, invoking fn on each in shard order

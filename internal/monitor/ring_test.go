@@ -159,6 +159,12 @@ func TestRingReleaseRecyclesZeroedBuffers(t *testing.T) {
 	if r.Push(0, Sample{TimeUS: 9}) || r.Dropped() != 1 {
 		t.Fatalf("push into a released ring: dropped = %d, want the push counted as 1 drop", r.Dropped())
 	}
+	if got := r.PushBatch(make([]Sample, 3)); got != 0 || r.Dropped() != 4 {
+		t.Fatalf("batch into a released ring: accepted %d, dropped = %d; want 0 and 4", got, r.Dropped())
+	}
+	if got := r.fold(NewAggregator(0)); got != 0 {
+		t.Fatalf("fold of a released ring moved %d samples", got)
+	}
 	assertZeroRing(t, NewRing(8, 2))
 
 	// Monitors of concurrent runs trade buffers through the pool: every
@@ -192,5 +198,56 @@ func assertZeroRing(t *testing.T, r *Ring) {
 				return
 			}
 		}
+	}
+}
+
+// TestFoldMatchesDrainAndAdd: the pump's in-place fold hands the aggregator
+// the same samples in the same order as draining them out and adding each,
+// also when a shard's buffered run wraps past the end of its buffer, and
+// leaves every slot it read zero.
+func TestFoldMatchesDrainAndAdd(t *testing.T) {
+	folded, drained := NewRing(12, 3), NewRing(12, 3)
+	inPlace, byValue := NewAggregator(0), NewAggregator(0)
+	names := []string{"A", "B", "C", "D", "E"}
+	tick := 0
+	for round := 0; round < 7; round++ {
+		// Uneven rounds move every shard's head around its buffer.
+		for k := 0; k <= round%3; k++ {
+			tick++
+			batch := make([]Sample, len(names))
+			for i, name := range names {
+				batch[i] = mkSample(name, int64(tick*1000), uint64(tick*(i+1)), uint64(tick), int64(tick*i*3), (tick+i)%4)
+			}
+			folded.PushBatch(batch)
+			drained.PushBatch(batch)
+		}
+		n := folded.fold(inPlace)
+		out := drained.DrainInto(nil)
+		if n != len(out) {
+			t.Fatalf("round %d: fold moved %d samples, drain %d", round, n, len(out))
+		}
+		for _, s := range out {
+			byValue.Add(s)
+		}
+		end := int64(tick*1000 + 500)
+		got, want := inPlace.Flush(end), byValue.Flush(end)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d windows, want %d", round, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d window %d:\n got %+v\nwant %+v", round, i, got[i], want[i])
+			}
+		}
+		for i := range folded.shards {
+			for j, s := range folded.shards[i].buf {
+				if s != (Sample{}) {
+					t.Fatalf("round %d: shard %d slot %d holds %+v after the fold", round, i, j, s)
+				}
+			}
+		}
+	}
+	if folded.Dropped() != drained.Dropped() {
+		t.Fatalf("dropped %d vs %d", folded.Dropped(), drained.Dropped())
 	}
 }

@@ -69,6 +69,7 @@ type MemorySink struct {
 	n      int               // windows stored
 	names  []string          // interned component names, by id
 	ids    map[string]uint64 // component name -> id
+	lastID uint64            // id of the last window's component
 	chunks [][]byte          // the arena, oldest first; only the last has room
 	// inline backs chunks through the growing ones, so a short log
 	// allocates no chunk index of its own.
@@ -80,19 +81,33 @@ func NewMemorySink() *MemorySink { return &MemorySink{} }
 
 // WriteWindow implements Sink.
 func (s *MemorySink) WriteWindow(w WindowStats) error {
-	var scratch [maxWindowBytes]byte
+	s.writeWindow(&w)
+	return nil
+}
+
+// writeWindow logs *w where it lies: the monitor's pump hands it the
+// window in place in the aggregator's flush buffer. A window is encoded
+// straight into the arena's last chunk when the chunk has room for the
+// largest encoding; otherwise it is encoded into a scratch first, so the
+// chunk can be chosen by the window's actual size.
+func (s *MemorySink) writeWindow(w *WindowStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id, ok := s.ids[w.Component]
-	if !ok {
-		if s.ids == nil {
-			s.ids = make(map[string]uint64)
-		}
-		id = uint64(len(s.names))
-		s.ids[w.Component] = id
-		s.names = append(s.names, w.Component)
+	id := s.intern(w.Component)
+	s.n++
+	if last := len(s.chunks) - 1; last >= 0 && cap(s.chunks[last])-len(s.chunks[last]) >= maxWindowBytes {
+		s.chunks[last] = appendWindow(s.chunks[last], id, w)
+		return
 	}
-	rec := appendWindow(scratch[:0], id, &w)
+	s.appendNear(id, w)
+}
+
+// appendNear is writeWindow near the end of a chunk: encode the window
+// into a scratch, then append it to the last chunk if it fits, else to a
+// new chunk.
+func (s *MemorySink) appendNear(id uint64, w *WindowStats) {
+	var scratch [maxWindowBytes]byte
+	rec := appendWindow(scratch[:0], id, w)
 	last := len(s.chunks) - 1
 	if last < 0 || cap(s.chunks[last])-len(s.chunks[last]) < len(rec) {
 		size := memChunkMin
@@ -105,8 +120,32 @@ func (s *MemorySink) WriteWindow(w WindowStats) error {
 		last++
 	}
 	s.chunks[last] = append(s.chunks[last], rec...)
-	s.n++
-	return nil
+}
+
+// intern returns name's id, assigning the next one on first sight. The
+// pump writes each flush's windows in component-name order, so the
+// component after the previous window's (or, once a flush wraps, the
+// first) is tried before the name is hashed.
+func (s *MemorySink) intern(name string) uint64 {
+	if guess := s.lastID + 1; guess < uint64(len(s.names)) && s.names[guess] == name {
+		s.lastID = guess
+		return guess
+	}
+	if len(s.names) > 0 && s.names[0] == name {
+		s.lastID = 0
+		return 0
+	}
+	id, ok := s.ids[name]
+	if !ok {
+		if s.ids == nil {
+			s.ids = make(map[string]uint64)
+		}
+		id = uint64(len(s.names))
+		s.ids[name] = id
+		s.names = append(s.names, name)
+	}
+	s.lastID = id
+	return id
 }
 
 // Windows decodes the windows received so far into a fresh slice, in
@@ -153,9 +192,17 @@ func appendWindow(buf []byte, id uint64, w *WindowStats) []byte {
 // counts in bucket order, Total and Max.
 func appendHist(buf []byte, h *Hist) []byte {
 	var mask uint64
-	for i, c := range h.Counts {
-		if c != 0 {
-			mask |= 1 << i
+	// Most buckets are empty: test them eight at a time, and only look
+	// into a block that holds a count.
+	for blk := 0; blk < histBuckets; blk += 8 {
+		c := (*[8]uint64)(h.Counts[blk : blk+8])
+		if c[0]|c[1]|c[2]|c[3]|c[4]|c[5]|c[6]|c[7] == 0 {
+			continue
+		}
+		for j := range c {
+			if c[j] != 0 {
+				mask |= 1 << (blk + j)
+			}
 		}
 	}
 	buf = binary.AppendUvarint(buf, mask)

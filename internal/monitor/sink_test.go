@@ -209,3 +209,31 @@ func TestMemorySinkSmallLogAllocs(t *testing.T) {
 		t.Fatalf("40 windows cost the sink %v allocations, a plain slice %v", sink, plain)
 	}
 }
+
+// TestMemorySinkSparseBuckets: a histogram with a single nonzero bucket,
+// at every index of every eight-bucket block, comes back from the log
+// bit for bit, as do windows whose components arrive out of the order
+// they were first seen in.
+func TestMemorySinkSparseBuckets(t *testing.T) {
+	var want []WindowStats
+	for i := range histBuckets {
+		w := WindowStats{Component: chunkTestComps[(i*7)%3], StartUS: int64(i)}
+		w.DepthHist.Counts[i] = uint64(i + 1)
+		w.LatencyHist.Counts[histBuckets-1-i] = 1
+		w.DepthHist.Total, w.LatencyHist.Total = uint64(i+1), 1
+		want = append(want, w)
+	}
+	s := NewMemorySink()
+	for _, w := range want {
+		s.writeWindow(&w)
+	}
+	got := s.Windows()
+	if len(got) != len(want) {
+		t.Fatalf("Windows() holds %d windows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !sameWindow(got[i], want[i]) {
+			t.Fatalf("window %d came back as\n%+v\nwant\n%+v", i, got[i], want[i])
+		}
+	}
+}

@@ -2,7 +2,9 @@ package monitor
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"embera/internal/core"
 )
@@ -56,6 +58,15 @@ func (h *Hist) Merge(o *Hist) {
 	}
 }
 
+// moveTo copies h into dst and empties h. It is for histograms built by
+// Observe alone: no bucket above Max's holds a count, so only the buckets
+// up to it need clearing.
+func (h *Hist) moveTo(dst *Hist) {
+	*dst = *h
+	clear(h.Counts[:histBucket(h.Max)+1])
+	h.Total, h.Max = 0, 0
+}
+
 // Quantile returns an upper bound for the q-quantile (0 <= q <= 1): the
 // inclusive upper edge of the bucket containing the q·Total-th value,
 // clamped to the largest observed value (so p99 never exceeds the
@@ -74,8 +85,8 @@ func (h *Hist) Quantile(q float64) int64 {
 		rank = h.Total - 1
 	}
 	var seen uint64
-	for i, c := range h.Counts {
-		seen += c
+	for i := range h.Counts {
+		seen += h.Counts[i]
 		if seen > rank {
 			if i == 0 {
 				return 0
@@ -140,14 +151,26 @@ func rate(ops uint64, winUS int64) float64 {
 }
 
 // compAgg is the per-component accumulation state inside the aggregator.
+// Of past samples it keeps only what the fold reads. Its histograms are
+// built by Observe alone (see Hist.moveTo).
 type compAgg struct {
+	name string
+	// next is the position guess: the accumulator of the sample that
+	// followed this component's last time. Samples reach the pump in the
+	// same per-shard order every tick, so the guess almost always holds
+	// and the fold skips hashing the component name.
+	next *compAgg
+
 	// Window-local state, reset at every flush.
 	samples   int
 	depthHigh int
+	memHigh   int64
 	depthHist Hist
 	latHist   Hist
-	memHigh   int64
-	last      Sample // most recent sample (cumulative counters)
+
+	// The most recent sample's cumulative counters and time.
+	lastSendOps, lastRecvOps uint64
+	lastTimeUS               int64
 
 	// Baselines: cumulative counters at the previous window close, for
 	// delta/rate computation, and the sample time they were taken at —
@@ -155,10 +178,11 @@ type compAgg struct {
 	baseSendOps, baseRecvOps uint64
 	baseTimeUS               int64
 
-	// prev is the previous occupancy-bearing sample of any window, for
-	// inter-sample latency.
-	prev     Sample
-	havePrev bool
+	// The send counters of the previous occupancy-bearing sample of any
+	// window, for inter-sample latency.
+	prevSendOps uint64
+	prevSendUS  int64
+	havePrev    bool
 }
 
 // Aggregator folds a stream of samples into per-component window
@@ -167,7 +191,8 @@ type compAgg struct {
 type Aggregator struct {
 	startUS int64
 	comps   map[string]*compAgg
-	order   []string
+	order   []*compAgg    // by component name
+	cursor  *compAgg      // accumulator of the last sample folded
 	out     []WindowStats // reusable flush buffer
 }
 
@@ -182,14 +207,12 @@ func NewAggregator(startUS int64) *Aggregator {
 // OS/all samples, cumulative counters from any. With one sampler per
 // level this keeps coincident ticks (e.g. a 1 ms app sampler and a 5 ms
 // OS sampler firing together) from double-weighting the depth histogram.
-func (ag *Aggregator) Add(s Sample) {
-	ca := ag.comps[s.Component]
-	if ca == nil {
-		ca = &compAgg{baseTimeUS: ag.startUS}
-		ag.comps[s.Component] = ca
-		ag.order = append(ag.order, s.Component)
-		sort.Strings(ag.order)
-	}
+func (ag *Aggregator) Add(s Sample) { ag.add(&s) }
+
+// add is Add reading the sample where it lies: the pump folds each sample
+// straight from its ring slot.
+func (ag *Aggregator) add(s *Sample) {
+	ca := ag.lookup(s.Component)
 	ca.samples++
 	if s.Level != core.LevelOS {
 		if s.Depth > ca.depthHigh {
@@ -197,16 +220,43 @@ func (ag *Aggregator) Add(s Sample) {
 		}
 		ca.depthHist.Observe(int64(s.Depth))
 		if ca.havePrev {
-			if dOps := s.SendOps - ca.prev.SendOps; dOps > 0 {
-				ca.latHist.Observe((s.SendUS - ca.prev.SendUS) / int64(dOps))
+			if dOps := s.SendOps - ca.prevSendOps; dOps > 0 {
+				ca.latHist.Observe((s.SendUS - ca.prevSendUS) / int64(dOps))
 			}
 		}
-		ca.prev, ca.havePrev = s, true
+		ca.prevSendOps, ca.prevSendUS, ca.havePrev = s.SendOps, s.SendUS, true
 	}
 	if s.MemBytes > ca.memHigh {
 		ca.memHigh = s.MemBytes
 	}
-	ca.last = s
+	ca.lastSendOps, ca.lastRecvOps, ca.lastTimeUS = s.SendOps, s.RecvOps, s.TimeUS
+}
+
+// lookup finds name's accumulator: first by position (the successor of
+// the previous sample's accumulator), then by name, creating it on first
+// sight. A sample that arrives out of the usual order — a hand-built one,
+// or the first of a drain that starts on another shard — still lands on
+// its own component; it only costs the hash.
+func (ag *Aggregator) lookup(name string) *compAgg {
+	prev := ag.cursor
+	if prev != nil && prev.next != nil && prev.next.name == name {
+		ag.cursor = prev.next
+		return prev.next
+	}
+	ca := ag.comps[name]
+	if ca == nil {
+		ca = &compAgg{name: name, baseTimeUS: ag.startUS}
+		ag.comps[name] = ca
+		i, _ := slices.BinarySearchFunc(ag.order, name, func(c *compAgg, n string) int {
+			return strings.Compare(c.name, n)
+		})
+		ag.order = slices.Insert(ag.order, i, ca)
+	}
+	if prev != nil {
+		prev.next = ca
+	}
+	ag.cursor = ca
+	return ca
 }
 
 // Flush closes the current window at endUS and returns one WindowStats per
@@ -217,43 +267,50 @@ func (ag *Aggregator) Add(s Sample) {
 // The returned slice is the aggregator's own flush buffer, valid until the
 // next Flush: consumers stream the windows to sinks (which copy what they
 // retain) rather than holding the slice, so the per-window allocation is
-// paid once per run instead of once per window.
+// paid once per run instead of once per window. Each window is written
+// once, field by field, into its slot of that buffer.
 func (ag *Aggregator) Flush(endUS int64) []WindowStats {
-	out := ag.out[:0]
+	n := 0
+	for _, ca := range ag.order {
+		if ca.samples > 0 {
+			n++
+		}
+	}
+	out := slices.Grow(ag.out[:0], n)[:n]
 	winUS := endUS - ag.startUS
-	for _, name := range ag.order {
-		ca := ag.comps[name]
+	k := 0
+	for _, ca := range ag.order {
 		if ca.samples == 0 {
 			continue
 		}
-		dSend := ca.last.SendOps - ca.baseSendOps
-		dRecv := ca.last.RecvOps - ca.baseRecvOps
+		dSend := ca.lastSendOps - ca.baseSendOps
+		dRecv := ca.lastRecvOps - ca.baseRecvOps
 		// The deltas accumulated between the baseline sample and the last
 		// sample of this window — an interval that stretches past the
 		// nominal window whenever the adaptive controller slowed the
 		// sampler. Dividing by winUS there would inflate the rates.
-		covered := ca.last.TimeUS - ca.baseTimeUS
+		covered := ca.lastTimeUS - ca.baseTimeUS
 		if covered <= 0 {
 			covered = winUS
 		}
-		out = append(out, WindowStats{
-			Component: name,
-			StartUS:   ag.startUS,
-			EndUS:     endUS,
-			Samples:   ca.samples,
-			CoveredUS: covered,
-			SendOps:   ca.last.SendOps, RecvOps: ca.last.RecvOps,
-			DeltaSendOps: dSend, DeltaRecvOps: dRecv,
-			SendRate: rate(dSend, covered), RecvRate: rate(dRecv, covered),
-			DepthHigh:   ca.depthHigh,
-			DepthHist:   ca.depthHist,
-			LatencyHist: ca.latHist,
-			MemHigh:     ca.memHigh,
-		})
-		ca.baseSendOps, ca.baseRecvOps = ca.last.SendOps, ca.last.RecvOps
-		ca.baseTimeUS = ca.last.TimeUS
+		// Every field of the slot is written: it still holds an earlier
+		// window.
+		w := &out[k]
+		k++
+		w.Component = ca.name
+		w.StartUS, w.EndUS = ag.startUS, endUS
+		w.Samples = ca.samples
+		w.CoveredUS = covered
+		w.SendOps, w.RecvOps = ca.lastSendOps, ca.lastRecvOps
+		w.DeltaSendOps, w.DeltaRecvOps = dSend, dRecv
+		w.SendRate, w.RecvRate = rate(dSend, covered), rate(dRecv, covered)
+		w.DepthHigh = ca.depthHigh
+		w.MemHigh = ca.memHigh
+		ca.depthHist.moveTo(&w.DepthHist)
+		ca.latHist.moveTo(&w.LatencyHist)
+		ca.baseSendOps, ca.baseRecvOps = ca.lastSendOps, ca.lastRecvOps
+		ca.baseTimeUS = ca.lastTimeUS
 		ca.samples, ca.depthHigh, ca.memHigh = 0, 0, 0
-		ca.depthHist, ca.latHist = Hist{}, Hist{}
 	}
 	ag.startUS = endUS
 	ag.out = out

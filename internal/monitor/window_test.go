@@ -246,3 +246,57 @@ func TestMergeWindows(t *testing.T) {
 		t.Fatalf("merged depth observations = %d, want 2", a.DepthHist.Total)
 	}
 }
+
+// TestAggregatorOrderIndependent: the fold finds each sample's accumulator
+// by position and falls back to the name, so the windows do not depend on
+// the order samples arrive in. Ticks folded in order, reversed, shuffled
+// and with a component that appears only from the third tick on all close
+// the same windows.
+func TestAggregatorOrderIndependent(t *testing.T) {
+	names := []string{"c0", "c1", "c2", "c3", "c4", "c5"}
+	ticks := func(order func(tick int, idx []int)) []WindowStats {
+		ag := NewAggregator(0)
+		var out []WindowStats
+		for tick := 1; tick <= 40; tick++ {
+			idx := []int{0, 1, 2, 3, 4, 5}
+			order(tick, idx)
+			for _, i := range idx {
+				if i == 5 && tick < 3 {
+					continue
+				}
+				// A fresh string each time: the name is equal, not identical.
+				name := string([]byte(names[i]))
+				ag.Add(mkSample(name, int64(tick*1000), uint64(tick*(i+1)), uint64(tick*2),
+					int64(tick*tick*(i+1)), (tick*7+i)%9))
+			}
+			if tick%10 == 0 {
+				out = append(out, ag.Flush(int64(tick*1000))...)
+			}
+		}
+		return out
+	}
+	want := ticks(func(int, []int) {})
+	for name, order := range map[string]func(int, []int){
+		"reversed": func(_ int, idx []int) {
+			for i, j := 0, len(idx)-1; i < j; i, j = i+1, j-1 {
+				idx[i], idx[j] = idx[j], idx[i]
+			}
+		},
+		"shuffled": func(tick int, idx []int) {
+			for i := len(idx) - 1; i > 0; i-- {
+				j := (tick*31 + i*17) % (i + 1)
+				idx[i], idx[j] = idx[j], idx[i]
+			}
+		},
+	} {
+		got := ticks(order)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d windows, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: window %d differs:\n got %+v\nwant %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -13,6 +13,8 @@ import (
 	"embera/internal/sim"
 	"embera/internal/trace"
 	"embera/internal/wire"
+
+	_ "embera/internal/burstwl" // burst:<spec> family registration
 )
 
 // HarnessOptions parameterizes the steady-state observation-overhead
@@ -147,6 +149,8 @@ func ObservationOverhead(opts HarnessOptions) (Record, error) {
 func MicroBenchmarks() Record {
 	rec := Record{}
 	rec["micro/monitor-sample-tick"] = fromBenchmark(testing.Benchmark(BenchMonitorSampleTick))
+	rec["micro/aggregator-fold"] = fromBenchmark(testing.Benchmark(BenchAggregatorFold))
+	rec["micro/monitor-window"] = fromBenchmark(testing.Benchmark(BenchMonitorWindow))
 	rec["micro/native-mailbox-send"] = fromBenchmark(testing.Benchmark(BenchNativeMailboxSend))
 	rec["micro/native-mailbox-fanin"] = fromBenchmark(testing.Benchmark(BenchNativeMailboxFanIn))
 	rec["micro/sim-kernel-send"] = fromBenchmark(testing.Benchmark(BenchSimKernelSend))
@@ -192,6 +196,101 @@ func BenchMonitorSampleTick(b *testing.B) {
 		if ring.Len()+n > ring.Capacity() {
 			drain = ring.DrainInto(drain[:0])
 		}
+	}
+}
+
+// burstSpec is the wide burst assembly of the sim-burst benchmark: 16
+// clients fanning out to 8 servers and one collector, 25 components.
+const burstSpec = "burst:clients=16,servers=8,fanout=4,rate=200000,seed=1"
+
+// burstRun runs the wide burst assembly on smp at scale 8, observed by an
+// application sampler every samplePeriodUS and 10 ms windows.
+func burstRun(b *testing.B) *exp.Result {
+	w, err := platform.GetWorkload(burstSpec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := exp.Run(platform.MustGet("smp"), w, exp.Options{
+		Options: platform.Options{Scale: 8},
+		Monitor: &monitor.Config{
+			Levels:   []monitor.LevelPeriod{{Level: core.LevelApplication, PeriodUS: samplePeriodUS}},
+			WindowUS: 10_000,
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// BenchAggregatorFold measures the aggregator's fold of one sampling tick
+// of the wide burst assembly: its 25 samples, each component's counters
+// and clock advanced from the tick before, with the window flushed every
+// 10 ticks, as a 1 ms sampler under 10 ms windows does. It allocates
+// nothing.
+func BenchAggregatorFold(b *testing.B) {
+	app := burstRun(b).App
+	sweep := app.SampleAll(core.LevelApplication, nil)
+	tick := make([]monitor.Sample, len(sweep))
+	for j := range tick {
+		tick[j] = monitor.Sample{Level: core.LevelApplication, FastSample: sweep[j]}
+	}
+	agg := monitor.NewAggregator(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range tick {
+			s := &tick[j]
+			s.TimeUS += samplePeriodUS
+			s.SendOps += uint64(j % 4)
+			s.SendUS += int64(j%4) * 7
+			s.RecvOps++
+			s.Depth = (i + j) % 5
+			agg.Add(*s)
+		}
+		if i%10 == 9 {
+			agg.Flush(tick[0].TimeUS)
+		}
+	}
+}
+
+// windowsPerLog is how many windows one monitor of BenchMonitorWindow logs
+// before a fresh one takes over: about one sim-burst round's worth.
+const windowsPerLog = 20_000
+
+// BenchMonitorWindow measures one closed window's trip to the sinks: the
+// monitor's built-in memory sink encodes it into its arena and one
+// configured SinkFunc receives it. The windows are the wide burst
+// assembly's own. The arena grows amortized, and a fresh monitor takes
+// over every windowsPerLog windows, so the log stays bounded.
+func BenchMonitorWindow(b *testing.B) {
+	res := burstRun(b)
+	ws := res.Monitor.Windows()
+	if len(ws) == 0 {
+		b.Fatal("the burst run closed no window")
+	}
+	var seen int
+	cfg := monitor.Config{
+		RingCapacity: 1,
+		Sinks: []monitor.Sink{monitor.SinkFunc(func(w monitor.WindowStats) error {
+			seen += w.Samples
+			return nil
+		})},
+	}
+	var mon *monitor.Monitor
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%windowsPerLog == 0 {
+			var err error
+			if mon, err = monitor.New(res.App, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		mon.Ingest(ws[i%len(ws)])
+	}
+	if seen == 0 {
+		b.Fatal("the sink saw no sample")
 	}
 }
 

@@ -51,8 +51,8 @@ func TestObservationOverheadUnknownNames(t *testing.T) {
 
 // TestMicroBenchmarksZeroAllocPaths runs the micro harness (at the small
 // automatic b.N testing.Benchmark settles on) and asserts the zero-alloc
-// invariants hold on the acceptance paths: the monitor sample tick, the
-// native mailbox send and fan-in, the sim kernel's send and sender herd,
+// invariants hold on the acceptance paths: the monitor sample tick and
+// aggregator fold, the native mailbox send and fan-in, the sim kernel's send and sender herd,
 // the trace recorder, the MJPEG IDCT stage and the block-group wire
 // encode. The native micros gate like the rest: parking allocates nothing.
 func TestMicroBenchmarksZeroAllocPaths(t *testing.T) {
@@ -61,7 +61,8 @@ func TestMicroBenchmarksZeroAllocPaths(t *testing.T) {
 	}
 	rec := MicroBenchmarks()
 	for _, key := range []string{
-		"micro/monitor-sample-tick", "micro/native-mailbox-send", "micro/native-mailbox-fanin",
+		"micro/monitor-sample-tick", "micro/aggregator-fold", "micro/monitor-window",
+		"micro/native-mailbox-send", "micro/native-mailbox-fanin",
 		"micro/sim-kernel-send", "micro/sim-herd", "micro/trace-emit", "micro/trace-write-event",
 		"micro/mjpeg-fetch", "micro/mjpeg-idct", "micro/mjpeg-reorder",
 		"micro/wire-encode-blockgroup", "micro/wire-decode-blockgroup", "micro/cluster-link-hop",
@@ -78,8 +79,8 @@ func TestMicroBenchmarksZeroAllocPaths(t *testing.T) {
 		}
 	}
 	for _, key := range []string{
-		"micro/monitor-sample-tick", "micro/native-mailbox-send", "micro/native-mailbox-fanin", "micro/trace-emit",
-		"micro/mjpeg-idct", "micro/sim-kernel-send", "micro/sim-herd", "micro/wire-encode-blockgroup",
+		"micro/monitor-sample-tick", "micro/aggregator-fold", "micro/native-mailbox-send",
+		"micro/native-mailbox-fanin", "micro/trace-emit", "micro/mjpeg-idct", "micro/sim-kernel-send", "micro/sim-herd", "micro/wire-encode-blockgroup",
 	} {
 		if a := rec[key].AllocsPerOp; a >= 1 {
 			t.Fatalf("%s allocates %.2f per op, want amortized zero", key, a)

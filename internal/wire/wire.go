@@ -342,8 +342,8 @@ func appendWindow(buf []byte, w *monitor.WindowStats) []byte {
 }
 
 func appendHist(buf []byte, h *monitor.Hist) []byte {
-	for _, c := range h.Counts {
-		buf = binary.LittleEndian.AppendUint64(buf, c)
+	for i := range h.Counts {
+		buf = binary.LittleEndian.AppendUint64(buf, h.Counts[i])
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, h.Total)
 	return binary.LittleEndian.AppendUint64(buf, uint64(h.Max))
