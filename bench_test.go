@@ -492,3 +492,13 @@ func BenchmarkWireDecodeBlockGroup(b *testing.B) { perfstat.BenchWireDecodeBlock
 // cluster workers: write, buffered read and decode over a real unix socket
 // pair (perfstat's micro/cluster-link-hop body).
 func BenchmarkClusterLinkHop(b *testing.B) { perfstat.BenchClusterLinkHop(b) }
+
+// BenchmarkBrokerPublish measures one closed window published through the
+// served broker to one draining subscriber (perfstat's micro/broker-publish
+// body).
+func BenchmarkBrokerPublish(b *testing.B) { perfstat.BenchBrokerPublish(b) }
+
+// BenchmarkCtlObserve measures one closed window folded into a ctl
+// controller under a hold-3/cooldown-5 threshold policy (perfstat's
+// micro/ctl-observe body).
+func BenchmarkCtlObserve(b *testing.B) { perfstat.BenchCtlObserve(b) }

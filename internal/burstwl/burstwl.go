@@ -255,15 +255,28 @@ func (s *Spec) ClientSchedule(c int) Schedule {
 	return sched
 }
 
+// schedules derives every client's schedule, indexed by client.
+func (s *Spec) schedules() []Schedule {
+	scheds := make([]Schedule, s.Clients)
+	for c := range scheds {
+		scheds[c] = s.ClientSchedule(c)
+	}
+	return scheds
+}
+
 // Expected returns the closed-form outcome of a correct run: the number
 // of responses folded at the collector and their order-independent
 // checksum.
 func (s *Spec) Expected() (units int, checksum uint64) {
-	for c := 0; c < s.Clients; c++ {
-		sched := s.ClientSchedule(c)
-		for q := 0; q < s.Reqs; q++ {
+	return s.expected(s.schedules())
+}
+
+// expected is Expected over the clients' schedules, already derived.
+func (s *Spec) expected(scheds []Schedule) (units int, checksum uint64) {
+	for c, sched := range scheds {
+		for q, targets := range sched.Targets {
 			v := reqValue(s.Seed, c, q)
-			for _, srv := range sched.Targets[q] {
+			for _, srv := range targets {
 				units++
 				checksum += mix(mix(v, serverSalt(srv)), collectorSalt)
 			}
@@ -276,11 +289,15 @@ func (s *Spec) Expected() (units int, checksum uint64) {
 // how many requests client c sends server s; toCollector[s] how many
 // responses server s forwards.
 func (s *Spec) EdgeOps() (toServer [][]uint64, toCollector []uint64) {
+	return s.edgeOps(s.schedules())
+}
+
+// edgeOps is EdgeOps over the clients' schedules, already derived.
+func (s *Spec) edgeOps(scheds []Schedule) (toServer [][]uint64, toCollector []uint64) {
 	toServer = make([][]uint64, s.Clients)
 	toCollector = make([]uint64, s.Servers)
-	for c := 0; c < s.Clients; c++ {
+	for c, sched := range scheds {
 		toServer[c] = make([]uint64, s.Servers)
-		sched := s.ClientSchedule(c)
 		for _, targets := range sched.Targets {
 			for _, srv := range targets {
 				toServer[c][srv]++

@@ -134,7 +134,10 @@ func (w *Workload) Build(a *core.App, p platform.Platform, opts platform.Options
 // the native platform the collector is a real goroutine, and probes and
 // monitor samplers read mid-run.
 type instance struct {
-	spec     *Spec
+	spec *Spec
+	// scheds holds every client's schedule, derived once per run: the
+	// clients replay them and the closed forms are computed from them.
+	scheds   []Schedule
 	expUnits int
 	expSum   uint64
 	// srvIfaces names each client's required interface toward server s.
@@ -145,8 +148,8 @@ type instance struct {
 }
 
 func newInstance(spec *Spec) *instance {
-	inst := &instance{spec: spec, srvIfaces: make([]string, spec.Servers)}
-	inst.expUnits, inst.expSum = spec.Expected()
+	inst := &instance{spec: spec, scheds: spec.schedules(), srvIfaces: make([]string, spec.Servers)}
+	inst.expUnits, inst.expSum = spec.expected(inst.scheds)
 	for s := range inst.srvIfaces {
 		inst.srvIfaces[s] = fmt.Sprintf("srv%d", s)
 	}
@@ -156,8 +159,7 @@ func newInstance(spec *Spec) *instance {
 // clientBody replays client c's precomputed open-loop schedule: sleep the
 // virtual-time gap, then fan the request out — never waiting on responses.
 func (in *instance) clientBody(c int) core.Body {
-	spec := in.spec
-	sched := spec.ClientSchedule(c)
+	spec, sched := in.spec, in.scheds[c]
 	return func(ctx *core.Ctx) {
 		for q := 0; q < spec.Reqs; q++ {
 			if gap := sched.GapsUS[q]; gap > 0 {
@@ -211,7 +213,7 @@ func (in *instance) Spec() *Spec { return in.spec }
 // fixed by the precomputed schedules. Every client→server edge is wired
 // and listed even when the schedule never uses it (Ops 0).
 func (in *instance) FlowModel() []platform.FlowEdge {
-	toServer, toCollector := in.spec.EdgeOps()
+	toServer, toCollector := in.spec.edgeOps(in.scheds)
 	var edges []platform.FlowEdge
 	for c := 0; c < in.spec.Clients; c++ {
 		for s := 0; s < in.spec.Servers; s++ {

@@ -626,6 +626,10 @@ type ProvidedIface struct {
 	// left (guarded by connMu, like the counts). Rewires consult it so a
 	// dead mailbox is never installed as a send target.
 	closed bool
+	// recv caches the interface's receive counters in the component's
+	// stats, resolved on its first receive. Only the component's own flow
+	// touches it.
+	recv *ifaceCounters
 }
 
 // box returns the materialized mailbox, or nil before App.Start.
@@ -656,6 +660,10 @@ type RequiredIface struct {
 	// orders that write before any read on the send path, so no atomic is
 	// needed.
 	transport Transport
+	// send caches the interface's send counters in the component's stats,
+	// resolved on its first send. Only the component's own flow touches
+	// it.
+	send *ifaceCounters
 }
 
 // Connected reports whether the interface has been wired to a target.

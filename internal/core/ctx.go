@@ -59,7 +59,7 @@ func (x *Ctx) Send(iface string, payload any, bytes int) bool {
 		ok = target.box().Send(x.f, m)
 	}
 	t1 := x.c.app.binding.NowUS(x.c)
-	x.c.stats.recordSend(iface, bytes, t1-t0)
+	x.c.stats.recordSend(&ri.send, iface, bytes, t1-t0)
 	x.c.app.emit(Event{
 		TimeUS: t1, Kind: EvSend, Component: x.c.name,
 		Interface: iface, Bytes: bytes, DurUS: t1 - t0,
@@ -79,7 +79,7 @@ func (x *Ctx) Receive(iface string) (m Message, ok bool) {
 	m, ok = pi.box().Receive(x.f)
 	t1 := x.c.app.binding.NowUS(x.c)
 	if ok {
-		x.c.stats.recordRecv(iface, m.Bytes, t1-t0)
+		x.c.stats.recordRecv(&pi.recv, iface, m.Bytes, t1-t0)
 		x.c.app.emit(Event{
 			TimeUS: t1, Kind: EvReceive, Component: x.c.name,
 			Interface: iface, Bytes: m.Bytes, DurUS: t1 - t0,

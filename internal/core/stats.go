@@ -36,6 +36,17 @@ type ifaceCounters struct {
 	maxUS   atomic.Int64
 }
 
+// add counts one operation. Only the owning flow calls it, inside its
+// seqlock write window.
+func (e *ifaceCounters) add(bytes int, us int64) {
+	e.ops.Add(1)
+	e.bytes.Add(uint64(bytes))
+	e.totalUS.Add(us)
+	if us > e.maxUS.Load() {
+		e.maxUS.Store(us)
+	}
+}
+
 // load reads one entry's fields (consistency is the caller's seqlock).
 func (e *ifaceCounters) load() IfaceStats {
 	return IfaceStats{
@@ -61,7 +72,9 @@ func (e *ifaceCounters) load() IfaceStats {
 // under them. Writers never block and never wait on readers, so sampling
 // can never stall a component. The per-interface maps are copy-on-write
 // (an insert publishes a fresh map; entries are stable pointers), letting
-// readers walk them without any lock at all.
+// readers walk them without any lock at all. Each interface caches its
+// own entry pointer, so the writer looks a name up only on the interface's
+// first operation.
 type stats struct {
 	// seq is the seqlock generation: odd while a write is in progress.
 	// Only the owning component's flow writes it.
@@ -102,30 +115,30 @@ func entry(dir *atomic.Pointer[map[string]*ifaceCounters], iface string) *ifaceC
 	return e
 }
 
-func (st *stats) recordSend(iface string, bytes int, us int64) {
+// recordSend counts one send through the interface named iface, whose
+// counters *e caches. The cache is filled on the interface's first send,
+// inside the write window, so the interface first appears in a report
+// together with that send.
+func (st *stats) recordSend(e **ifaceCounters, iface string, bytes int, us int64) {
 	st.seq.Add(1) // odd: write in progress
-	e := entry(&st.send, iface)
-	e.ops.Add(1)
-	e.bytes.Add(uint64(bytes))
-	e.totalUS.Add(us)
-	if us > e.maxUS.Load() {
-		e.maxUS.Store(us)
+	if *e == nil {
+		*e = entry(&st.send, iface)
 	}
+	(*e).add(bytes, us)
 	st.sendOps.Add(1)
 	st.sendBytes.Add(uint64(bytes))
 	st.sendUS.Add(us)
 	st.seq.Add(1) // even: write complete
 }
 
-func (st *stats) recordRecv(iface string, bytes int, us int64) {
+// recordRecv is recordSend for a receive through the interface named
+// iface, whose counters *e caches.
+func (st *stats) recordRecv(e **ifaceCounters, iface string, bytes int, us int64) {
 	st.seq.Add(1)
-	e := entry(&st.recv, iface)
-	e.ops.Add(1)
-	e.bytes.Add(uint64(bytes))
-	e.totalUS.Add(us)
-	if us > e.maxUS.Load() {
-		e.maxUS.Store(us)
+	if *e == nil {
+		*e = entry(&st.recv, iface)
 	}
+	(*e).add(bytes, us)
 	st.recvOps.Add(1)
 	st.recvBytes.Add(uint64(bytes))
 	st.recvUS.Add(us)

@@ -2,7 +2,6 @@ package native
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -78,9 +77,9 @@ func TestParkedFlowsDoNotAllocate(t *testing.T) {
 	msg := core.Message{Bytes: 1, From: "prod"}
 	// Each helper serves the measured flow only once it is parked, so every
 	// measured operation really blocks.
-	serve := func(mu *sync.Mutex, q *waitq, op func(), stop *atomic.Bool) {
+	serve := func(q *waitq, op func(), stop *atomic.Bool) {
 		for !stop.Load() {
-			if parked(mu, q) == 0 {
+			if parked(q) == 0 {
 				runtime.Gosched()
 				continue
 			}
@@ -96,7 +95,7 @@ func TestParkedFlowsDoNotAllocate(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			serve(&mb.mu, &mb.senders, func() { mb.Receive(r) }, &stop)
+			serve(&mb.senders, func() { mb.Receive(r) }, &stop)
 		}()
 		allocs := testing.AllocsPerRun(200, func() { mb.Send(s, msg) })
 		stop.Store(true)
@@ -113,7 +112,7 @@ func TestParkedFlowsDoNotAllocate(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			serve(&mb.mu, &mb.receivers, func() { mb.Send(s, msg) }, &stop)
+			serve(&mb.receivers, func() { mb.Send(s, msg) }, &stop)
 		}()
 		allocs := testing.AllocsPerRun(200, func() { mb.Receive(r) })
 		stop.Store(true)

@@ -10,16 +10,17 @@ import (
 )
 
 // waiter is one parked flow: an entry in a mailbox's FIFO of blocked
-// senders or blocked receivers. The flow that serves it — a receive
-// admitting a sender's message, a send readying a receiver, a close —
-// unlinks it under the mailbox lock, then signals ready once. ready has one
-// slot, so that signal never blocks, and a native flow reuses the same
-// waiter for every park: blocking allocates nothing.
+// senders or blocked receivers. Whoever unlinks it under the mailbox lock —
+// a receive admitting a sender's message, a send readying a receiver, a
+// close, or a kill — signals ready once. ready has one slot, so that signal
+// never blocks, and a native flow reuses the same waiter for every park:
+// blocking allocates nothing.
 type waiter struct {
-	msg   core.Message // a parked sender's message, admitted by its server
-	ok    bool         // a parked sender's result: admitted, or failed by Close
-	next  *waiter
-	ready chan struct{}
+	msg    core.Message // a parked sender's message, admitted by its server
+	ok     bool         // a parked sender's result: admitted, or failed by Close
+	killed bool         // unlinked by a kill before any server took it
+	next   *waiter
+	ready  chan struct{}
 }
 
 // foreignWaiters lends waiters to flows that do not bring their own: the
@@ -28,8 +29,13 @@ var foreignWaiters = sync.Pool{New: func() any {
 	return &waiter{ready: make(chan struct{}, 1)}
 }}
 
-// waitq is a FIFO of parked flows, guarded by the owning mailbox lock.
-type waitq struct{ head, tail *waiter }
+// waitq is a FIFO of parked flows, guarded by mu, the owning mailbox's
+// lock. A kill finds the queue its flow is parked on, and so the lock to
+// take, from the queue alone.
+type waitq struct {
+	mu         *sync.Mutex
+	head, tail *waiter
+}
 
 func (q *waitq) push(w *waiter) {
 	if q.tail == nil {
@@ -54,8 +60,8 @@ func (q *waitq) pop() *waiter {
 }
 
 // remove unlinks w wherever it stands and reports whether it was queued —
-// false means a server already took it. Only a kill needs it, so a walk is
-// cheap enough.
+// false means someone else already took it. Only a kill needs it, so a
+// walk is cheap enough.
 func (q *waitq) remove(w *waiter) bool {
 	var prev *waiter
 	for cur := q.head; cur != nil; prev, cur = cur, cur.next {
@@ -76,6 +82,14 @@ func (q *waitq) remove(w *waiter) bool {
 	return false
 }
 
+// detach empties q and returns its waiters as a list of their own, for a
+// close to wake once the lock is released.
+func (q *waitq) detach() waitq {
+	l := waitq{head: q.head, tail: q.tail}
+	q.head, q.tail = nil, nil
+	return l
+}
+
 // wakeAll signals every waiter of a list its server has already unlinked.
 // It runs after the mailbox lock is released, and reads each link before
 // the signal that hands the waiter back to its flow.
@@ -88,15 +102,18 @@ func (q *waitq) wakeAll() {
 	}
 }
 
-// parker returns the waiter f parks on and the kill channel that can
-// interrupt it: a native flow's own waiter and kill channel, or a borrowed
-// waiter and no kill channel for a foreign flow. release hands a borrowed
-// waiter back.
-func parker(f core.Flow) (w *waiter, killed chan struct{}) {
-	if nf, ok := f.(*flow); ok {
-		return nf.waiter(), nf.killed
+// parker returns the waiter f parks on and, when f is a killable component
+// flow, f itself: a native flow's own waiter, or a borrowed one for a
+// foreign flow. release hands a borrowed waiter back.
+func parker(f core.Flow) (*waiter, *flow) {
+	nf, ok := f.(*flow)
+	if !ok {
+		return foreignWaiters.Get().(*waiter), nil
 	}
-	return foreignWaiters.Get().(*waiter), nil
+	if nf.comp == nil {
+		return nf.waiter(), nil
+	}
+	return nf.waiter(), nf
 }
 
 func release(f core.Flow, w *waiter) {
@@ -105,29 +122,31 @@ func release(f core.Flow, w *waiter) {
 	}
 }
 
-// park queues w on q and blocks until a server signals it. It is entered
-// holding mu and returns with mu released. A kill that beats the server
-// unlinks w and unwinds the flow, so a parked sender's message never enters
-// the buffer; a server that beat the kill stands, the operation completes,
-// and the kill lands at the flow's next primitive.
-func park(mu *sync.Mutex, q *waitq, w *waiter, killed chan struct{}) {
+// park queues w on q and blocks on w alone until whoever unlinks it
+// signals it. It is entered holding q.mu and returns with it released. A
+// killable flow kf publishes the queue it parks on before it reads its kill
+// flag, and a kill sets the flag before it reads where the flow parks, so
+// one of the two always sees the other and no kill is lost. A kill that
+// beats the server unlinks w and unwinds the flow, so a parked sender's
+// message never enters the buffer; a server that beat the kill stands, the
+// operation completes, and the kill lands at the flow's next primitive.
+func park(q *waitq, w *waiter, kf *flow) {
 	q.push(w)
-	mu.Unlock()
-	if killed == nil {
+	if kf == nil {
+		q.mu.Unlock()
 		<-w.ready
 		return
 	}
-	select {
-	case <-w.ready:
-	case <-killed:
-		mu.Lock()
-		if q.remove(w) {
-			mu.Unlock()
-			w.msg = core.Message{}
-			panic(killedPanic{})
-		}
-		mu.Unlock()
-		<-w.ready // served before the kill took the lock
+	kf.parkedOn.Store(q)
+	q.mu.Unlock()
+	if kf.comp.killed.Load() {
+		kf.interrupt()
+	}
+	<-w.ready
+	kf.parkedOn.Store(nil)
+	if w.killed {
+		w.killed, w.msg = false, core.Message{}
+		panic(killedPanic{})
 	}
 }
 
@@ -163,7 +182,9 @@ type mailbox struct {
 }
 
 func newMailbox(name string, capacity int64) *mailbox {
-	return &mailbox{name: name, capacity: capacity}
+	m := &mailbox{name: name, capacity: capacity}
+	m.senders.mu, m.receivers.mu = &m.mu, &m.mu
+	return m
 }
 
 // fits reports whether msg's modelled bytes fit the free room. Callers hold
@@ -213,9 +234,9 @@ func (m *mailbox) Send(sender core.Flow, msg core.Message) bool {
 		}
 		return true
 	}
-	w, killed := parker(sender)
+	w, kf := parker(sender)
 	w.msg = msg
-	park(&m.mu, &m.senders, w, killed)
+	park(&m.senders, w, kf)
 	ok := w.ok
 	release(sender, w)
 	return ok
@@ -229,8 +250,8 @@ func (m *mailbox) Receive(receiver core.Flow) (core.Message, bool) {
 			m.mu.Unlock()
 			return core.Message{}, false
 		}
-		w, killed := parker(receiver)
-		park(&m.mu, &m.receivers, w, killed)
+		w, kf := parker(receiver)
+		park(&m.receivers, w, kf)
 		release(receiver, w)
 		m.mu.Lock()
 	}
@@ -264,8 +285,7 @@ func (m *mailbox) Close() {
 		return
 	}
 	m.closed = true
-	senders, receivers := m.senders, m.receivers
-	m.senders, m.receivers = waitq{}, waitq{}
+	senders, receivers := m.senders.detach(), m.receivers.detach()
 	for w := senders.head; w != nil; w = w.next {
 		w.msg, w.ok = core.Message{}, false
 	}
@@ -303,7 +323,11 @@ type queue struct {
 	receivers waitq
 }
 
-func newQueue(name string) *queue { return &queue{name: name} }
+func newQueue(name string) *queue {
+	q := &queue{name: name}
+	q.receivers.mu = &q.mu
+	return q
+}
 
 // Send implements core.Mailbox; it never blocks.
 func (q *queue) Send(sender core.Flow, m core.Message) bool {
@@ -332,8 +356,8 @@ func (q *queue) Receive(receiver core.Flow) (core.Message, bool) {
 			q.mu.Unlock()
 			return core.Message{}, false
 		}
-		w, killed := parker(receiver)
-		park(&q.mu, &q.receivers, w, killed)
+		w, kf := parker(receiver)
+		park(&q.receivers, w, kf)
 		release(receiver, w)
 		q.mu.Lock()
 	}
@@ -358,8 +382,7 @@ func (q *queue) Close() {
 		return
 	}
 	q.closed = true
-	receivers := q.receivers
-	q.receivers = waitq{}
+	receivers := q.receivers.detach()
 	q.mu.Unlock()
 	receivers.wakeAll()
 }

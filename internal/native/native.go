@@ -3,8 +3,11 @@
 // the paper's "a data structure and a POSIX thread" (§4) with the Go
 // scheduler standing in for the pthread library. Provided interfaces are
 // bounded, byte-accounted FIFO mailboxes whose blocked flows queue in FIFO
-// order and are served directly, each parked on its own reusable waiter;
-// middleware timestamps come from the wall clock behind the same
+// order and are served directly, each parked on its own reusable waiter.
+// A kill sets one flag that every primitive of the component's flow reads,
+// so a parked flow waits only on its own waiter and a sleeping flow only on
+// its own timer; Kill finds where the flow waits and wakes it there.
+// Middleware timestamps come from the wall clock behind the same
 // core.Binding.NowUS seam the simulated platforms use; OS-level observation
 // reports real elapsed execution time and the component's structural memory
 // (goroutine stack estimate plus interface buffers plus live buffered
@@ -22,6 +25,7 @@ package native
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,9 +74,12 @@ func NewBinding(locations int) *Binding {
 
 // platData is the per-component platform state.
 type platData struct {
-	loc    int
-	killed chan struct{}
-	kill   sync.Once
+	loc int
+	// killed is the kill flag every primitive of the component's flow
+	// reads; flow is that flow, published at spawn so a kill can find
+	// where it waits.
+	killed atomic.Bool
+	flow   atomic.Pointer[flow]
 
 	startNS atomic.Int64 // wall ns since epoch at spawn; 0 = not spawned
 	endNS   atomic.Int64 // wall ns since epoch at exit; 0 = still running
@@ -113,7 +120,7 @@ func (b *Binding) data(c *core.Component) *platData {
 	} else {
 		loc = loc % b.locations
 	}
-	d := &platData{loc: loc, killed: make(chan struct{})}
+	d := &platData{loc: loc}
 	d.memBytes.Store(GoroutineStackBytes)
 	c.SetPlatformData(d)
 	return d
@@ -129,6 +136,8 @@ func (b *Binding) nowNS() int64 { return int64(time.Since(b.epoch)) }
 func (b *Binding) Spawn(c *core.Component, run func(f core.Flow)) error {
 	d := b.data(c)
 	d.startNS.Store(b.nowNS())
+	f := &flow{b: b, comp: d}
+	d.flow.Store(f)
 	b.comps.Add(1)
 	go func() {
 		defer b.comps.Done()
@@ -141,7 +150,7 @@ func (b *Binding) Spawn(c *core.Component, run func(f core.Flow)) error {
 				panic(r)
 			}
 		}()
-		run(&flow{b: b, killed: d.killed, comp: d})
+		run(f)
 	}()
 	return nil
 }
@@ -265,10 +274,20 @@ func (b *Binding) osView(c *core.Component, nowNS int64) core.OSReport {
 func (b *Binding) WallClock() bool { return true }
 
 // Kill implements core.Binding: the component's flow unwinds with the
-// sentinel panic the next time it computes, sleeps or touches a mailbox.
-func (b *Binding) Kill(c *core.Component) {
-	d := b.data(c)
-	d.kill.Do(func() { close(d.killed) })
+// sentinel panic where it waits, or the next time it computes, sleeps or
+// parks.
+func (b *Binding) Kill(c *core.Component) { b.data(c).kill() }
+
+// kill sets the component's kill flag, once, then wakes its flow wherever
+// it waits. The flag is set before the flow's waiting place is read; a
+// flow publishes its waiting place before it reads the flag.
+func (d *platData) kill() {
+	if d.killed.Swap(true) {
+		return
+	}
+	if f := d.flow.Load(); f != nil {
+		f.interrupt()
+	}
 }
 
 // Location returns the placement slot assigned to a component (for tests
@@ -283,18 +302,22 @@ func (b *Binding) CyclesCharged(c *core.Component) int64 { return b.data(c).cycl
 
 var _ core.Binding = (*Binding)(nil)
 
-// flow adapts a goroutine to core.Flow. Component flows carry the kill
-// channel; service and driver flows have none (nil) and can never unwind.
-// The flow reuses w for every park and timer for every sleep; only its own
-// goroutine touches them, apart from the mailbox serving w while it is
-// parked.
+// flow adapts a goroutine to core.Flow. Component flows carry their
+// component's platform state and its kill flag; service and driver flows
+// have none (nil) and can never unwind. The flow reuses w for every park
+// and timer for every sleep; only its own goroutine touches them, apart
+// from whoever unlinks w while it is parked and a kill firing the timer.
 type flow struct {
-	b      *Binding
-	killed chan struct{}
-	comp   *platData
+	b    *Binding
+	comp *platData
 
 	w     waiter
 	timer *time.Timer
+	// parkedOn is the queue a component flow is parked on, and sleeping is
+	// set while it waits on its timer: each is published before the flow
+	// reads its kill flag, so a kill that the flow misses finds it.
+	parkedOn atomic.Pointer[waitq]
+	sleeping atomic.Bool
 }
 
 // waiter returns the flow's reusable waiter, making its ready channel on
@@ -317,16 +340,17 @@ func (f *flow) Compute(cycles int64) {
 	}
 }
 
-// SleepUS implements core.Flow with a real wall-clock sleep.
+// SleepUS implements core.Flow with a real wall-clock sleep. A component
+// flow waits on its own timer only; a kill fires it early.
 func (f *flow) SleepUS(us int64) {
 	f.checkKilled()
 	if us <= 0 {
 		// Yield the processor, as the simulated flows do for zero sleeps.
-		time.Sleep(0)
+		runtime.Gosched()
 		return
 	}
 	d := time.Duration(us) * time.Microsecond
-	if f.killed == nil {
+	if f.comp == nil {
 		time.Sleep(d)
 		return
 	}
@@ -335,22 +359,40 @@ func (f *flow) SleepUS(us int64) {
 	} else {
 		f.timer.Reset(d) // no stale tick survives a Reset since Go 1.23
 	}
-	select {
-	case <-f.timer.C:
-	case <-f.killed:
-		f.timer.Stop()
-		panic(killedPanic{})
+	f.sleeping.Store(true)
+	if f.comp.killed.Load() {
+		f.interrupt()
 	}
+	<-f.timer.C
+	f.sleeping.Store(false)
+	f.checkKilled()
 }
 
 // checkKilled unwinds the flow if the component has been killed.
 func (f *flow) checkKilled() {
-	if f.killed == nil {
-		return
-	}
-	select {
-	case <-f.killed:
+	if f.comp != nil && f.comp.killed.Load() {
 		panic(killedPanic{})
-	default:
+	}
+}
+
+// interrupt wakes a killed component flow wherever it waits: it unlinks
+// the flow's waiter from the queue it is parked on, under that mailbox's
+// lock, and signals it, or it fires the flow's sleep timer now. A flow that
+// is not waiting finds the flag at its next primitive. Both the kill and
+// the flow itself, when it finds the flag right after publishing where it
+// waits, call it; only one of them unlinks the waiter.
+func (f *flow) interrupt() {
+	if q := f.parkedOn.Load(); q != nil {
+		q.mu.Lock()
+		if q.remove(&f.w) {
+			f.w.killed = true
+			q.mu.Unlock()
+			f.w.ready <- struct{}{}
+			return
+		}
+		q.mu.Unlock()
+	}
+	if f.sleeping.Load() {
+		f.timer.Reset(0)
 	}
 }

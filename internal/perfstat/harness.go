@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"embera/internal/core"
+	"embera/internal/ctl"
 	"embera/internal/exp"
 	"embera/internal/mjpeg"
 	"embera/internal/mjpegapp"
 	"embera/internal/monitor"
 	"embera/internal/platform"
+	"embera/internal/serve"
 	"embera/internal/sim"
 	"embera/internal/trace"
 	"embera/internal/wire"
@@ -138,9 +140,10 @@ func ObservationOverhead(opts HarnessOptions) (Record, error) {
 // MicroBenchmarks measures the zero-alloc hot paths — the monitor sample
 // path, the native mailbox send and fan-in paths, the sim kernel event loop
 // and its sender herd, and the trace recorder/codec — the MJPEG decoder's
-// three component kernels, and one block group's wire encode, decode and
-// hop across a cluster link, via testing.Benchmark, and returns them keyed
-// "micro/<path>".
+// three component kernels, one block group's wire encode, decode and hop
+// across a cluster link, and a closed window's trip through the served
+// broker and the ctl controller, via testing.Benchmark, and returns them
+// keyed "micro/<path>".
 // Their allocs_per_op entries are the committed invariant: CI diffs them
 // against the baseline, so a change that re-introduces per-operation
 // allocation on any of these paths fails the build. The native micros park
@@ -163,6 +166,8 @@ func MicroBenchmarks() Record {
 	rec["micro/wire-encode-blockgroup"] = fromBenchmark(testing.Benchmark(BenchWireEncodeBlockGroup))
 	rec["micro/wire-decode-blockgroup"] = fromBenchmark(testing.Benchmark(BenchWireDecodeBlockGroup))
 	rec["micro/cluster-link-hop"] = fromBenchmark(testing.Benchmark(BenchClusterLinkHop))
+	rec["micro/broker-publish"] = fromBenchmark(testing.Benchmark(BenchBrokerPublish))
+	rec["micro/ctl-observe"] = fromBenchmark(testing.Benchmark(BenchCtlObserve))
 	return rec
 }
 
@@ -658,3 +663,60 @@ func BenchClusterLinkHop(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// collectorWindow is the wide burst assembly's last closed window of its
+// collector, flattened into the record the broker and ctl consume.
+func collectorWindow(b *testing.B) monitor.WindowRecord {
+	ws := burstRun(b).Monitor.Windows()
+	for i := len(ws) - 1; i >= 0; i-- {
+		if ws[i].Component == "col" {
+			return monitor.NewWindowRecord(ws[i])
+		}
+	}
+	b.Fatal("the burst run closed no collector window")
+	return monitor.WindowRecord{}
+}
+
+// BenchBrokerPublish measures one serve.Broker.Publish of a collector
+// window to one subscriber, which takes the event off its queue before the
+// next publish: the served fan-out's cost per window and subscriber,
+// before any SSE encoding. It allocates nothing.
+func BenchBrokerPublish(b *testing.B) {
+	br := serve.NewBroker(0)
+	sub := br.Subscribe("bench")
+	defer br.Unsubscribe(sub)
+	ev := serve.Event{Assembly: "bench", Generation: 1, Window: collectorWindow(b)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.Seq = uint64(i)
+		br.Publish(ev)
+		<-sub.C()
+	}
+}
+
+// BenchCtlObserve measures one ctl.Controller.Observe of a collector window
+// under the policy a served assembly runs: a threshold every window meets,
+// held for 3 windows and cooled down for 5, so of every 8 windows 2 grow
+// the streak, 1 fires and 5 are suppressed. Each firing allocates the
+// returned slice.
+func BenchCtlObserve(b *testing.B) {
+	c := ctl.NewController()
+	if err := c.SetPolicies([]ctl.Policy{{
+		Name: "hold", Component: "col",
+		Metric: ctl.MetricDepthHigh, Op: ">=", Threshold: 0,
+		HoldWindows: 3, CooldownWindows: 5,
+		Action: ctl.Action{Type: ctl.ActSetPeriod, Level: "application", PeriodUS: samplePeriodUS},
+	}}); err != nil {
+		b.Fatal(err)
+	}
+	rec := collectorWindow(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		firingSink = c.Observe(rec)
+	}
+}
+
+// firingSink keeps the ctl micro's result live.
+var firingSink []ctl.Firing

@@ -53,8 +53,9 @@ func TestObservationOverheadUnknownNames(t *testing.T) {
 // automatic b.N testing.Benchmark settles on) and asserts the zero-alloc
 // invariants hold on the acceptance paths: the monitor sample tick and
 // aggregator fold, the native mailbox send and fan-in, the sim kernel's send and sender herd,
-// the trace recorder, the MJPEG IDCT stage and the block-group wire
-// encode. The native micros gate like the rest: parking allocates nothing.
+// the trace recorder, the MJPEG IDCT stage, the block-group wire encode
+// and the broker publish. The native micros gate like the rest: parking
+// allocates nothing.
 func TestMicroBenchmarksZeroAllocPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micro harness is seconds-long; skipped under -short")
@@ -66,6 +67,7 @@ func TestMicroBenchmarksZeroAllocPaths(t *testing.T) {
 		"micro/sim-kernel-send", "micro/sim-herd", "micro/trace-emit", "micro/trace-write-event",
 		"micro/mjpeg-fetch", "micro/mjpeg-idct", "micro/mjpeg-reorder",
 		"micro/wire-encode-blockgroup", "micro/wire-decode-blockgroup", "micro/cluster-link-hop",
+		"micro/broker-publish", "micro/ctl-observe",
 	} {
 		e, ok := rec[key]
 		if !ok {
@@ -81,6 +83,7 @@ func TestMicroBenchmarksZeroAllocPaths(t *testing.T) {
 	for _, key := range []string{
 		"micro/monitor-sample-tick", "micro/aggregator-fold", "micro/native-mailbox-send",
 		"micro/native-mailbox-fanin", "micro/trace-emit", "micro/mjpeg-idct", "micro/sim-kernel-send", "micro/sim-herd", "micro/wire-encode-blockgroup",
+		"micro/broker-publish",
 	} {
 		if a := rec[key].AllocsPerOp; a >= 1 {
 			t.Fatalf("%s allocates %.2f per op, want amortized zero", key, a)

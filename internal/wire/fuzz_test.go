@@ -101,6 +101,7 @@ func TestBadSeedsFailForTheirReason(t *testing.T) {
 		"overrun-mask":    "truncated group",
 		"trailing-group":  "trailing bytes after the group",
 		"overrun-pixels":  "declares",
+		"empty-bucket":    "marks empty bucket",
 	} {
 		var f wire.Frame
 		if err := wire.DecodeFrame(seeds[name], &f); err == nil || !strings.Contains(err.Error(), want) {
@@ -115,6 +116,7 @@ func seedBodies(t *testing.T) map[string][]byte {
 	rng := rand.New(rand.NewSource(5))
 	bg, pg := refGroups(t)
 	window := randWindow(rng)
+	sparse := sparseWindow()
 	reports := wire.Frame{
 		Type: wire.TypeReports, Shard: 0, Units: 24, Checksum: 0x8169cfcc6c2a933e,
 		Ledger:  []wire.EdgeCount{{Edge: 1, Sent: 432}, {Edge: 7, Received: 432}},
@@ -128,6 +130,7 @@ func seedBodies(t *testing.T) map[string][]byte {
 		"data-pixelgroup": {Type: wire.TypeData, Edge: 7, Bytes: int64(pg.PayloadBytes()), From: "IDCT_1", Payload: pg},
 		"edgeclose":       {Type: wire.TypeEdgeClose, Edge: 2},
 		"windows":         {Type: wire.TypeWindows, Shard: 1, Windows: []monitor.WindowStats{window}},
+		"windows-sparse":  {Type: wire.TypeWindows, Shard: 1, Windows: []monitor.WindowStats{sparse}},
 		"reports":         reports,
 		"sharddone":       {Type: wire.TypeShardDone, Shard: 1},
 		"terminate":       {Type: wire.TypeTerminate},
@@ -153,6 +156,13 @@ func seedBodies(t *testing.T) map[string][]byte {
 	overrun("overrun-name", "compkill", 1)     // component name length
 	overrun("overrun-ledger", "reports", 21)   // ledger edge count
 
+	// The sparse window's first depth bucket count, zeroed under its mask
+	// bit: past the type, shard, window count, name and eleven fields, and
+	// the depth histogram's mask.
+	b := bytes.Clone(seeds["windows-sparse"])
+	binary.LittleEndian.PutUint64(b[1+4+4+4+len(sparse.Component)+11*8+8:], 0)
+	seeds["empty-bucket"] = b
+
 	// A group's blocks are its encoding past the encoding of the same
 	// group with none; the block count sits just before them, and the
 	// group's own length just before the whole group.
@@ -169,7 +179,7 @@ func seedBodies(t *testing.T) map[string][]byte {
 	// The last block's nonzero mask, with every bit set: its popcount
 	// asks for more coefficients than the bytes left hold.
 	last := len(body) - 4*nonzero(&bg.Blocks[len(bg.Blocks)-1]) - 8
-	b := bytes.Clone(body)
+	b = bytes.Clone(body)
 	binary.LittleEndian.PutUint64(b[last:], math.MaxUint64)
 	seeds["overrun-mask"] = b
 	// The group's length grown by three bytes that follow its last block.
@@ -179,6 +189,23 @@ func seedBodies(t *testing.T) map[string][]byte {
 	pixels := len(seeds["data-pixelgroup"]) - len(pg.Blocks)*(3*8+64) - 4
 	overrun("overrun-pixels", "data-pixelgroup", pixels)
 	return seeds
+}
+
+// sparseWindow is a window as a busy server closes one: its histograms
+// fill only a few buckets.
+func sparseWindow() monitor.WindowStats {
+	w := monitor.WindowStats{
+		Component: "s3", StartUS: 10_000, EndUS: 20_000, CoveredUS: 10_000, Samples: 10,
+		SendOps: 812, RecvOps: 812, DeltaSendOps: 81, DeltaRecvOps: 81,
+		SendRate: 8100, RecvRate: 8100, DepthHigh: 1, MemHigh: 9216,
+	}
+	for _, d := range []int64{0, 0, 1, 0, 1, 1, 0, 1, 0, 0} {
+		w.DepthHist.Observe(d)
+	}
+	for _, us := range []int64{3, 5, 4, 40} {
+		w.LatencyHist.Observe(us)
+	}
+	return w
 }
 
 // nonzero counts a block's nonzero coefficients.

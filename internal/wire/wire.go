@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 
 	"embera/internal/core"
@@ -316,11 +317,17 @@ func appendPayload(buf []byte, p any) ([]byte, error) {
 	}
 }
 
-// windowMinBytes is the smallest possible encoded WindowStats (empty
-// component name), used to sanity-check batch counts before allocating.
-const windowMinBytes = 4 + 9*8 + 4 + 2*(8*histBuckets+8+8)
+// windowMinBytes is the smallest possible encoded WindowStats: an empty
+// component name, twelve 8-byte fields and two empty histograms. The
+// decoder checks a batch's count against it before allocating.
+const windowMinBytes = 4 + 12*8 + 2*histMinBytes
 
-const histBuckets = 64
+// histMinBytes is an empty histogram's encoding: its nonzero-bucket mask,
+// Total and Max.
+const histMinBytes = 3 * 8
+
+// The nonzero-bucket mask holds exactly one bit per histogram bucket.
+var _ = [1]struct{}{}[len(monitor.Hist{}.Counts)-64]
 
 func appendWindow(buf []byte, w *monitor.WindowStats) []byte {
 	buf = appendString(buf, w.Component)
@@ -341,10 +348,20 @@ func appendWindow(buf []byte, w *monitor.WindowStats) []byte {
 	return buf
 }
 
+// appendHist writes a histogram as a 64-bit mask of its nonzero buckets,
+// those buckets' counts in bucket order, then Total and Max: a window's
+// histograms are mostly empty buckets.
 func appendHist(buf []byte, h *monitor.Hist) []byte {
-	for i := range h.Counts {
-		buf = binary.LittleEndian.AppendUint64(buf, h.Counts[i])
+	at := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // mask, back-patched below
+	var mask uint64
+	for i, n := range h.Counts {
+		if n != 0 {
+			mask |= 1 << i
+			buf = binary.LittleEndian.AppendUint64(buf, n)
+		}
 	}
+	binary.LittleEndian.PutUint64(buf[at:], mask)
 	buf = binary.LittleEndian.AppendUint64(buf, h.Total)
 	return binary.LittleEndian.AppendUint64(buf, uint64(h.Max))
 }
@@ -471,9 +488,14 @@ func (d *decoder) window(w *monitor.WindowStats) {
 	w.MemHigh = int64(d.u64())
 }
 
+// hist reads what appendHist wrote, and rejects a bucket its mask marks
+// nonzero but whose count is zero.
 func (d *decoder) hist(h *monitor.Hist) {
-	for i := range h.Counts {
-		h.Counts[i] = d.u64()
+	for mask := d.u64(); mask != 0 && d.err == nil; mask &= mask - 1 {
+		k := bits.TrailingZeros64(mask)
+		if h.Counts[k] = d.u64(); h.Counts[k] == 0 && d.err == nil {
+			d.err = fmt.Errorf("wire: histogram marks empty bucket %d nonzero", k)
+		}
 	}
 	h.Total = d.u64()
 	h.Max = int64(d.u64())

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -175,6 +176,50 @@ func randWindow(rng *rand.Rand) monitor.WindowStats {
 	w.LatencyHist.Total = rng.Uint64()
 	w.LatencyHist.Max = rng.Int63()
 	return w
+}
+
+// TestWindowHistogramsRoundTrip: a window's histograms cross the wire as
+// a nonzero-bucket mask and the nonzero counts, so an empty histogram
+// costs 24 bytes and each filled bucket 8 more, and every shape decodes
+// to the window it was.
+func TestWindowHistogramsRoundTrip(t *testing.T) {
+	full := monitor.Hist{Total: 64, Max: 1 << 62}
+	for i := range full.Counts {
+		full.Counts[i] = uint64(i + 1)
+	}
+	for _, tc := range []struct {
+		name    string
+		hist    monitor.Hist
+		buckets int
+	}{
+		{"empty", monitor.Hist{}, 0},
+		{"first-bucket", monitor.Hist{Counts: [64]uint64{0: 7}, Total: 7}, 1},
+		{"last-bucket", monitor.Hist{Counts: [64]uint64{63: 1}, Total: 1, Max: math.MaxInt64}, 1},
+		{"all-buckets", full, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := monitor.WindowStats{Component: "col", EndUS: 10_000, Samples: 10,
+				DepthHist: tc.hist, LatencyHist: tc.hist}
+			f := wire.Frame{Type: wire.TypeWindows, Shard: 2, Windows: []monitor.WindowStats{w}}
+			enc, err := wire.AppendFrame(nil, &f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Length prefix, type, shard and count, then the window: its
+			// name, twelve 8-byte fields and two histograms.
+			want := 4 + 1 + 4 + 4 + (4 + len(w.Component) + 12*8 + 2*(24+8*tc.buckets))
+			if len(enc) != want {
+				t.Errorf("frame is %d bytes, want %d", len(enc), want)
+			}
+			var got wire.Frame
+			if err := wire.DecodeFrame(enc[4:], &got); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, f) {
+				t.Fatalf("round trip changed the frame:\n got %+v\nwant %+v", got, f)
+			}
+		})
+	}
 }
 
 func randReports(rng *rand.Rand) map[string]core.ObsReport {
