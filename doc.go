@@ -83,7 +83,11 @@
 // The differential conformance engine (internal/conformance) runs each
 // seed across every registered platform and asserts checksum equality
 // everywhere, bit-identical timing fingerprints on deterministic
-// platforms, per-interface flow conservation (sends == receives +
+// platforms, sane final reports (every component done and no longer
+// running in the OS view, non-negative execution time, positive memory,
+// middleware operations summing to application operations, the
+// observation interface first in every listing), per-interface flow
+// conservation (sends == receives +
 // in-flight depth at teardown; on the cluster platform the inbox sum
 // spans every shard's senders and each cross-shard edge's wire-frame
 // count must equal its producer's send count), agreement between the

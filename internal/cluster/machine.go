@@ -157,9 +157,6 @@ func (m *Machine) Distribute(workload string, scale, messageBytes int, stream []
 	return nil
 }
 
-// Distributed reports whether the machine runs in sharded mode.
-func (m *Machine) Distributed() bool { return m.multi }
-
 // AttachMonitor hands the coordinator the run's live monitor and its
 // configuration: ingested worker windows join mon's sinks, and cfg's
 // levels/window mirror into every worker so all shards sample under the

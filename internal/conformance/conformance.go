@@ -1,272 +1,21 @@
-// Package conformance is a binding-independent test suite for the EMBera
-// model: a set of invariants every platform binding must satisfy, exercised
-// over randomized pipeline topologies, plus the platform × workload matrix
-// battery that runs every registered workload on every registered platform.
-// A future platform gets the whole suite by registering with
-// internal/platform; a future workload gets the matrix the same way.
+// Package conformance is the binding-independent test suite for the EMBera
+// model: one differential battery (differential.go) that runs seeded
+// generated workloads on every registered platform and holds each run to
+// the invariants every platform binding must satisfy — per-report sanity,
+// flow conservation, monitor/observer agreement, sane latency tails and
+// bit-identical reruns on deterministic platforms. A future platform gets
+// the whole suite by registering with internal/platform; a future seeded
+// workload family gets it by implementing platform.FlowModeler.
 package conformance
 
 import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 
-	"embera/internal/core"
 	"embera/internal/exp"
-	"embera/internal/platform"
-	"embera/internal/sim"
 )
-
-// Env is one fresh platform instance under test.
-type Env struct {
-	App     *core.App
-	Machine platform.Machine
-	// MaxPlacement bounds the placement hints the generator may use
-	// (exclusive); 0 disables explicit placement.
-	MaxPlacement int
-	// HorizonUS bounds Run in platform time: generous virtual time on
-	// simulated platforms, a wall-clock hang bound on native ones.
-	HorizonUS int64
-}
-
-// NewEnv creates a fresh environment on a registered platform, with the
-// placement bound taken from the platform's topology.
-func NewEnv(p platform.Platform, name string) *Env {
-	m, a := p.New(name)
-	horizonUS := int64(10 * 3600 * sim.Second / sim.Microsecond)
-	if !p.Deterministic() {
-		horizonUS = int64(60 * 1e6) // 60 s of wall clock
-	}
-	return &Env{App: a, Machine: m, MaxPlacement: p.Topology().Locations, HorizonUS: horizonUS}
-}
-
-// Topology is a randomly generated layered DAG of components.
-type Topology struct {
-	Layers      [][]string     // component names per layer
-	Produces    map[string]int // messages each source emits
-	MsgBytes    int
-	Connections map[string][]string // component -> downstream components
-}
-
-// GenTopology builds a random layered pipeline: layer 0 components are
-// sources; every non-source receives from >= 1 upstream component; sinks
-// only receive. The generator is deterministic in seed.
-func GenTopology(rng *rand.Rand) *Topology {
-	layers := 2 + rng.Intn(3) // 2..4 layers
-	topo := &Topology{
-		Produces:    map[string]int{},
-		MsgBytes:    64 + rng.Intn(2048),
-		Connections: map[string][]string{},
-	}
-	id := 0
-	for l := 0; l < layers; l++ {
-		width := 1 + rng.Intn(3)
-		var layer []string
-		for w := 0; w < width; w++ {
-			name := fmt.Sprintf("c%d", id)
-			id++
-			layer = append(layer, name)
-			if l == 0 {
-				topo.Produces[name] = 5 + rng.Intn(40)
-			}
-		}
-		topo.Layers = append(topo.Layers, layer)
-	}
-	// Every layer-l component feeds >= 1 component of layer l+1; every
-	// layer l+1 component has >= 1 producer.
-	for l := 0; l+1 < len(topo.Layers); l++ {
-		next := topo.Layers[l+1]
-		for _, src := range topo.Layers[l] {
-			n := 1 + rng.Intn(len(next))
-			perm := rng.Perm(len(next))
-			for i := 0; i < n; i++ {
-				topo.Connections[src] = append(topo.Connections[src], next[perm[i]])
-			}
-		}
-		for i, dst := range next {
-			if !hasProducer(topo, dst) {
-				src := topo.Layers[l][i%len(topo.Layers[l])]
-				topo.Connections[src] = append(topo.Connections[src], dst)
-			}
-		}
-	}
-	return topo
-}
-
-func hasProducer(topo *Topology, dst string) bool {
-	for _, outs := range topo.Connections {
-		for _, o := range outs {
-			if o == dst {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Stats captures the outcome of one conformance run.
-type Stats struct {
-	TotalSent     uint64
-	TotalReceived uint64
-	Reports       map[string]core.ObsReport
-}
-
-// Build instantiates the topology on env. Each component forwards every
-// received message once to each of its outputs; sources emit Produces
-// messages per output.
-func Build(env *Env, topo *Topology, rng *rand.Rand) error {
-	a := env.App
-	built := map[string]*core.Component{}
-	for li, layer := range topo.Layers {
-		for _, name := range layer {
-			name := name
-			isSource := li == 0
-			outs := topo.Connections[name]
-			produce := topo.Produces[name]
-			msgBytes := topo.MsgBytes
-			c, err := a.NewComponent(name, func(ctx *core.Ctx) {
-				if isSource {
-					for i := 0; i < produce; i++ {
-						ctx.Compute(int64(1000 + i%7))
-						for oi := range outs {
-							ctx.Send(fmt.Sprintf("out%d", oi), i, msgBytes)
-						}
-					}
-					return
-				}
-				for {
-					m, ok := ctx.Receive("in")
-					if !ok {
-						return
-					}
-					ctx.Compute(500)
-					for oi := range outs {
-						ctx.Send(fmt.Sprintf("out%d", oi), m.Payload, m.Bytes)
-					}
-				}
-			})
-			if err != nil {
-				return err
-			}
-			if env.MaxPlacement > 0 && rng.Intn(2) == 0 {
-				c.Place(rng.Intn(env.MaxPlacement))
-			}
-			if li > 0 {
-				if err := c.AddProvided("in", 1<<20); err != nil {
-					return err
-				}
-			}
-			for oi := range outs {
-				if err := c.AddRequired(fmt.Sprintf("out%d", oi)); err != nil {
-					return err
-				}
-			}
-			built[name] = c
-		}
-	}
-	for src, outs := range topo.Connections {
-		for oi, dst := range outs {
-			if err := a.Connect(built[src], fmt.Sprintf("out%d", oi), built[dst], "in"); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Run executes the environment to quiescence and gathers observation.
-func Run(env *Env) (*Stats, error) {
-	obs, err := env.App.AttachObserver()
-	if err != nil {
-		return nil, err
-	}
-	if err := env.App.Start(); err != nil {
-		return nil, err
-	}
-	st := &Stats{}
-	var qErr error
-	env.App.SpawnDriver("conformance-driver", func(f core.Flow) {
-		env.App.AwaitQuiescence(f)
-		st.Reports, qErr = obs.QueryAll(f, core.LevelAll)
-	})
-	if err := env.Machine.Run(env.HorizonUS); err != nil {
-		return nil, err
-	}
-	if !env.App.Done() {
-		return nil, fmt.Errorf("conformance: topology did not quiesce")
-	}
-	if qErr != nil {
-		return nil, qErr
-	}
-	for _, rep := range st.Reports {
-		st.TotalSent += rep.App.SendOps
-		st.TotalReceived += rep.App.RecvOps
-	}
-	return st, nil
-}
-
-// CheckInvariants verifies the binding-independent postconditions:
-//
-//  1. conservation — every sent message was received;
-//  2. every component terminated and reports a non-negative execution time
-//     and positive memory;
-//  3. middleware counters agree with application counters;
-//  4. the structure listing carries the observation interface pair first.
-func CheckInvariants(st *Stats) error {
-	if st.TotalSent != st.TotalReceived {
-		return fmt.Errorf("conservation violated: sent %d != received %d",
-			st.TotalSent, st.TotalReceived)
-	}
-	for name, rep := range st.Reports {
-		if rep.App.State != "done" {
-			return fmt.Errorf("%s state %q, want done", name, rep.App.State)
-		}
-		if rep.OS.Running {
-			return fmt.Errorf("%s still running in OS view", name)
-		}
-		if rep.OS.ExecTimeUS < 0 {
-			return fmt.Errorf("%s negative exec time %d", name, rep.OS.ExecTimeUS)
-		}
-		if rep.OS.MemBytes <= 0 {
-			return fmt.Errorf("%s reports no memory", name)
-		}
-		var mwSend, mwRecv uint64
-		for _, s := range rep.Middleware.Send {
-			mwSend += s.Ops
-		}
-		for _, r := range rep.Middleware.Recv {
-			mwRecv += r.Ops
-		}
-		if mwSend != rep.App.SendOps || mwRecv != rep.App.RecvOps {
-			return fmt.Errorf("%s middleware/application counter mismatch: %d/%d vs %d/%d",
-				name, mwSend, mwRecv, rep.App.SendOps, rep.App.RecvOps)
-		}
-		ifs := rep.App.Interfaces
-		if len(ifs) < 2 || ifs[0].Name != core.ObsIfaceName || ifs[0].Type != "provided" {
-			return fmt.Errorf("%s listing does not start with the observation interface", name)
-		}
-	}
-	return nil
-}
-
-// --- platform × workload matrix ---
-
-// MatrixCell is the comparable outcome of running one workload on one
-// platform: a bit-exact fingerprint of everything the run observed (for
-// determinism checks on the same platform) and the platform-independent
-// result digest (for portability checks across platforms).
-type MatrixCell struct {
-	// Fingerprint digests the full observation reports plus the makespan;
-	// two runs of the same cell must produce identical fingerprints.
-	Fingerprint uint64
-	// Checksum is the workload's result digest; it must agree across
-	// every platform the workload runs on.
-	Checksum uint64
-	// Units is the work completed (frames, messages).
-	Units int
-}
 
 // Fingerprint digests everything a completed run observed — the full
 // observation reports plus the makespan — bit-exactly: two runs of the same
@@ -291,22 +40,4 @@ func Fingerprint(run *exp.Result) (uint64, error) {
 		fmt.Fprintf(h, "%s: %s\n", n, blob)
 	}
 	return h.Sum64(), nil
-}
-
-// RunMatrixCell executes workload w on platform p through the single
-// exp.Run harness and reduces the outcome to a MatrixCell.
-func RunMatrixCell(p platform.Platform, w platform.Workload, opts platform.Options) (*MatrixCell, error) {
-	run, err := exp.Run(p, w, exp.Options{Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	fp, err := Fingerprint(run)
-	if err != nil {
-		return nil, err
-	}
-	return &MatrixCell{
-		Fingerprint: fp,
-		Checksum:    run.Instance.Checksum(),
-		Units:       run.Instance.Units(),
-	}, nil
 }

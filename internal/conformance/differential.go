@@ -13,6 +13,11 @@
 //     (portability of application semantics);
 //   - timing fingerprints must be bit-identical between two runs of the
 //     same cell on Deterministic (virtual-time) platforms;
+//   - every final report must be sane on its own: the component is done,
+//     its OS view no longer reads running, its execution time is
+//     non-negative and its memory positive, its middleware operations sum
+//     to its application operations, and its interface listing starts with
+//     the observation interface;
 //   - flow conservation must hold per interface: messages sent into every
 //     inbox equal messages received plus the in-flight depth the final
 //     report shows at teardown — and both must match the workload's
@@ -355,20 +360,71 @@ func (ps *probes) checkSeed(row []exp.MatrixResult) error {
 }
 
 // CheckRun verifies the per-run differential invariants on a completed
-// run: flow conservation against the workload's closed-form flow model
-// and monitor/observer agreement. It applies to any run whose Instance
-// implements platform.FlowModeler (fuzzwl, burstwl and replaywl runs);
-// RunMatrix sweeps reuse it cell by cell.
+// run: every final report is sane on its own, flows are conserved against
+// the workload's closed-form flow model, and the monitor agrees with the
+// observer. It applies to any run whose Instance implements
+// platform.FlowModeler (fuzzwl, burstwl and replaywl runs); RunMatrix
+// sweeps reuse it cell by cell.
 func CheckRun(run *exp.Result) error {
 	fm, ok := run.Instance.(platform.FlowModeler)
 	if !ok {
 		return fmt.Errorf("conformance: run instance %T carries no flow model", run.Instance)
+	}
+	if err := checkReports(run.Reports); err != nil {
+		return err
 	}
 	sh, _ := run.Machine.(sharder)
 	if err := checkFlowConservation(fm.FlowModel(), run.Reports, sh); err != nil {
 		return err
 	}
 	return checkMonitorAgreement(run)
+}
+
+// checkReports holds every final report, taken at quiescence, to the
+// binding-independent postconditions of a finished component: it
+// terminated and its OS view says so, it reports a non-negative execution
+// time and positive memory, its middleware counters sum to its
+// application counters (so no interface's traffic escapes the totals),
+// and its structure listing carries the observation interface first.
+func checkReports(reports map[string]core.ObsReport) error {
+	names := make([]string, 0, len(reports))
+	for name := range reports {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		rep := reports[name]
+		if rep.OS == nil || rep.Middleware == nil || rep.App == nil {
+			return fmt.Errorf("report: %s misses a level section", name)
+		}
+		if rep.App.State != "done" {
+			return fmt.Errorf("report: %s state %q at quiescence, want done", name, rep.App.State)
+		}
+		if rep.OS.Running {
+			return fmt.Errorf("report: %s still running in the OS view at quiescence", name)
+		}
+		if rep.OS.ExecTimeUS < 0 {
+			return fmt.Errorf("report: %s negative execution time %dµs", name, rep.OS.ExecTimeUS)
+		}
+		if rep.OS.MemBytes <= 0 {
+			return fmt.Errorf("report: %s reports %d bytes of memory", name, rep.OS.MemBytes)
+		}
+		var mwSend, mwRecv uint64
+		for _, s := range rep.Middleware.Send {
+			mwSend += s.Ops
+		}
+		for _, r := range rep.Middleware.Recv {
+			mwRecv += r.Ops
+		}
+		if mwSend != rep.App.SendOps || mwRecv != rep.App.RecvOps {
+			return fmt.Errorf("report: %s middleware send/recv ops %d/%d != application %d/%d",
+				name, mwSend, mwRecv, rep.App.SendOps, rep.App.RecvOps)
+		}
+		if ifs := rep.App.Interfaces; len(ifs) < 2 || ifs[0].Name != core.ObsIfaceName || ifs[0].Type != "provided" {
+			return fmt.Errorf("report: %s listing does not start with the provided observation interface", name)
+		}
+	}
+	return nil
 }
 
 // checkFlowConservation asserts the per-interface accounting identity on

@@ -2,11 +2,14 @@ package conformance_test
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"embera/internal/conformance"
+	"embera/internal/core"
 	"embera/internal/exp"
+	"embera/internal/monitor"
 	"embera/internal/platform"
 )
 
@@ -153,4 +156,71 @@ func TestDifferentialRejectsMalformedBurstSpecs(t *testing.T) {
 			t.Errorf("%q error lacks registry listing: %v", name, err)
 		}
 	}
+}
+
+// TestCheckRunRejectsDoctoredReports proves the per-report checks bite:
+// one clean rand:1 run on smp passes CheckRun, and each copy of it with a
+// single report doctored in a way flow conservation and monitor agreement
+// cannot see is rejected with that case's own error.
+func TestCheckRunRejectsDoctoredReports(t *testing.T) {
+	mon := &monitor.Config{
+		Levels:   []monitor.LevelPeriod{{Level: core.LevelApplication, PeriodUS: 200}},
+		WindowUS: 2000,
+	}
+	run, err := exp.RunNamed("smp", "rand:1", exp.Options{Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conformance.CheckRun(run); err != nil {
+		t.Fatalf("clean run rejected: %v", err)
+	}
+	var victim string
+	for name, rep := range run.Reports {
+		if rep.App.SendOps > 0 && (victim == "" || name < victim) {
+			victim = name
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		doctor     func(rep *core.ObsReport)
+	}{
+		{"blocked", `state "blocked"`, func(rep *core.ObsReport) { rep.App.State = "blocked" }},
+		{"os-running", "still running in the OS view", func(rep *core.ObsReport) { rep.OS.Running = true }},
+		{"negative-exec", "negative execution time", func(rep *core.ObsReport) { rep.OS.ExecTimeUS = -1 }},
+		{"no-memory", "0 bytes of memory", func(rep *core.ObsReport) { rep.OS.MemBytes = 0 }},
+		{"unmodelled-send", "middleware send/recv ops", func(rep *core.ObsReport) {
+			rep.Middleware.Send["unmodelled"] = core.IfaceStats{Ops: 1}
+		}},
+		{"listing-order", "does not start with the provided observation interface", func(rep *core.ObsReport) {
+			ifs := rep.App.Interfaces
+			ifs[0], ifs[1] = ifs[1], ifs[0]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doctored := *run
+			doctored.Reports = copyReports(t, run.Reports)
+			rep := doctored.Reports[victim]
+			tc.doctor(&rep)
+			doctored.Reports[victim] = rep
+			err := conformance.CheckRun(&doctored)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), victim) {
+				t.Fatalf("CheckRun = %v, want an error naming %s and containing %q", err, victim, tc.want)
+			}
+		})
+	}
+}
+
+// copyReports deep-copies a report map, so doctoring one copy leaves the
+// run's own reports intact.
+func copyReports(t *testing.T, reports map[string]core.ObsReport) map[string]core.ObsReport {
+	t.Helper()
+	blob, err := json.Marshal(reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]core.ObsReport
+	if err := json.Unmarshal(blob, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -385,10 +385,9 @@ type Component struct {
 	state     atomic.Int32 // State; atomic so observers read it mid-run
 	owner     *Composite   // enclosing composite, if any
 
-	startUS, endUS atomic.Int64
-	stats          *stats
-	probes         map[string]func() int64
-	probeOrder     []string
+	stats      *stats
+	probes     map[string]func() int64
+	probeOrder []string
 
 	obsIn Mailbox // provided observation interface (service queue)
 
@@ -540,9 +539,7 @@ func (c *Component) ProvidedBufBytes(name string) int64 {
 // OS-level timestamps live here, not in application code.
 func (c *Component) run(f Flow) {
 	c.state.Store(int32(StateStarted))
-	start := c.app.binding.NowUS(c)
-	c.startUS.Store(start)
-	c.app.emit(Event{TimeUS: start, Kind: EvStart, Component: c.name})
+	c.app.emit(Event{TimeUS: c.app.binding.NowUS(c), Kind: EvStart, Component: c.name})
 
 	// The cleanup runs on normal return AND when the flow is forcibly
 	// terminated (App.Terminate unwinds the body with a panic the platform
@@ -552,7 +549,6 @@ func (c *Component) run(f Flow) {
 	defer func() {
 		r := recover()
 		end := c.app.binding.NowUS(c)
-		c.endUS.Store(end)
 		c.state.Store(int32(StateDone))
 		c.app.emit(Event{TimeUS: end, Kind: EvStop, Component: c.name})
 		var remote []Transport

@@ -281,17 +281,13 @@ type FastSample struct {
 	Running    bool
 }
 
-// FastSnapshot fills a FastSample from the component's live state. Unlike
+// fastSnapshot fills a FastSample from the component's live state. Unlike
 // Snapshot it never allocates: the per-interface stat maps are represented
 // by their flat totals and the interface listing by its occupancy summary.
-func (c *Component) FastSnapshot(level ObsLevel, s *FastSample) {
-	c.fastSnapshot(level, s, nil, 0)
-}
-
-// fastSnapshot is FastSnapshot with an optional sweep cookie: when sv is
-// non-nil the OS view is evaluated at the cookie's clock reading instead of
-// taking a fresh one, which is how a sampling sweep amortizes one clock
-// read over every component. It writes every field of *s.
+// When sv is non-nil the OS view is evaluated at the sweep cookie's clock
+// reading instead of taking a fresh one, which is how a sampling sweep
+// amortizes one clock read over every component. It writes every field of
+// *s.
 func (c *Component) fastSnapshot(level ObsLevel, s *FastSample, sv SweepViewer, cookie int64) {
 	s.Component = c.name
 	s.State = c.State()

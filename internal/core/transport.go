@@ -100,9 +100,7 @@ func (a *App) FinishExternal(c *Component) {
 	if !c.state.CompareAndSwap(int32(StateCreated), int32(StateDone)) {
 		return
 	}
-	end := a.binding.NowUS(c)
-	c.endUS.Store(end)
-	a.emit(Event{TimeUS: end, Kind: EvStop, Component: c.name})
+	a.emit(Event{TimeUS: a.binding.NowUS(c), Kind: EvStop, Component: c.name})
 	if a.live.Add(-1) == 0 {
 		close(a.quiesced)
 	}

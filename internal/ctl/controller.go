@@ -50,13 +50,23 @@ type Controller struct {
 	policies []*policyState
 }
 
+// MaxPolicies caps an installed rule set: every policy is evaluated on
+// every closed window, so the cap bounds what one install can add to the
+// monitor's sink path.
+const MaxPolicies = 64
+
 // NewController returns an empty controller; install rules via SetPolicies.
 func NewController() *Controller { return &Controller{} }
 
 // SetPolicies validates and installs the full rule set, replacing any
-// previous one and resetting all hysteresis state. Duplicate names are
-// rejected so status and error accounting stay unambiguous.
+// previous one and resetting all hysteresis state. A set larger than
+// MaxPolicies is rejected, and so are duplicate names, so status and error
+// accounting stay unambiguous; a rejected set leaves the installed one in
+// place.
 func (c *Controller) SetPolicies(ps []Policy) error {
+	if len(ps) > MaxPolicies {
+		return fmt.Errorf("ctl: %d policies exceed the cap of %d", len(ps), MaxPolicies)
+	}
 	seen := make(map[string]bool, len(ps))
 	states := make([]*policyState, 0, len(ps))
 	for _, p := range ps {

@@ -1,6 +1,7 @@
 package ctl_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -57,6 +58,29 @@ func TestPolicyValidation(t *testing.T) {
 	}
 	if got := c.Policies(); len(got) != 1 || got[0].Name != "hot-worker" {
 		t.Fatalf("installed policies = %+v", got)
+	}
+}
+
+// TestSetPoliciesCap: a set of MaxPolicies installs, one more is rejected
+// and leaves the installed set in place.
+func TestSetPoliciesCap(t *testing.T) {
+	set := func(n int) []ctl.Policy {
+		ps := make([]ctl.Policy, n)
+		for i := range ps {
+			ps[i] = depthPolicy(2, 2)
+			ps[i].Name = fmt.Sprintf("p%d", i)
+		}
+		return ps
+	}
+	c := ctl.NewController()
+	if err := c.SetPolicies(set(ctl.MaxPolicies)); err != nil {
+		t.Fatalf("a set of exactly the cap rejected: %v", err)
+	}
+	if err := c.SetPolicies(set(ctl.MaxPolicies + 1)); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("cap+1 policies: %v, want a cap error", err)
+	}
+	if got := c.Policies(); len(got) != ctl.MaxPolicies {
+		t.Fatalf("rejected set replaced the installed one: %d policies", len(got))
 	}
 }
 

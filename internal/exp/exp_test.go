@@ -451,3 +451,16 @@ func TestPipelineCompareChecksumsAgree(t *testing.T) {
 		t.Error("P1 formatting broken")
 	}
 }
+
+// PeakDepths reduces the samples to the maximum observed depth per queue.
+func PeakDepths(samples []OccupancySample) map[string]int {
+	peaks := map[string]int{}
+	for _, s := range samples {
+		for q, d := range s.Depth {
+			if d > peaks[q] {
+				peaks[q] = d
+			}
+		}
+	}
+	return peaks
+}

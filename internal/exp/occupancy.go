@@ -69,19 +69,6 @@ func nowOf(a *core.App) int64 {
 	return a.Binding().NowUS(comps[0])
 }
 
-// PeakDepths reduces the samples to the maximum observed depth per queue.
-func PeakDepths(samples []OccupancySample) map[string]int {
-	peaks := map[string]int{}
-	for _, s := range samples {
-		for q, d := range s.Depth {
-			if d > peaks[q] {
-				peaks[q] = d
-			}
-		}
-	}
-	return peaks
-}
-
 // FormatOccupancy renders the depth series for the named queues.
 func FormatOccupancy(samples []OccupancySample, queues []string) string {
 	var b strings.Builder

@@ -15,7 +15,6 @@ const (
 	mDRI  = 0xDD
 	mSOS  = 0xDA
 	mAPP0 = 0xE0
-	mCOM  = 0xFE
 )
 
 // componentSpec describes one color component of a frame.

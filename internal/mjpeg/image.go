@@ -1,9 +1,6 @@
 package mjpeg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Image is a simple decoded picture: either grayscale (1 byte per pixel) or
 // RGB (3 bytes per pixel, interleaved).
@@ -36,19 +33,6 @@ func (im *Image) At(x, y int) (r, g, b byte) {
 	return im.Pix[i], im.Pix[i+1], im.Pix[i+2]
 }
 
-// SetRGB stores a pixel (for grayscale images the BT.601 luma is stored).
-func (im *Image) SetRGB(x, y int, r, g, b byte) {
-	if x < 0 || y < 0 || x >= im.W || y >= im.H {
-		panic(fmt.Sprintf("mjpeg: pixel (%d,%d) outside %dx%d", x, y, im.W, im.H))
-	}
-	if im.Gray {
-		im.Pix[y*im.W+x] = rgbToY(r, g, b)
-		return
-	}
-	i := 3 * (y*im.W + x)
-	im.Pix[i], im.Pix[i+1], im.Pix[i+2] = r, g, b
-}
-
 // BT.601 full-range color conversions used by JFIF.
 
 func rgbToY(r, g, b byte) byte {
@@ -79,55 +63,4 @@ func ycbcrRowToRGB(dst []byte, src [3][]byte, sx [3]uint) {
 		px := dst[3*x : 3*x+3 : 3*x+3]
 		px[0], px[1], px[2] = clamp8(rr), clamp8(gg), clamp8(bb)
 	}
-}
-
-// maxAbsDiff returns the largest per-channel absolute difference between two
-// images of identical geometry; a convenient test metric for lossy codecs.
-func MaxAbsDiff(a, b *Image) int {
-	if a.W != b.W || a.H != b.H {
-		return 255
-	}
-	worst := 0
-	for y := 0; y < a.H; y++ {
-		for x := 0; x < a.W; x++ {
-			ar, ag, ab := a.At(x, y)
-			br, bg, bb := b.At(x, y)
-			for _, d := range []int{int(ar) - int(br), int(ag) - int(bg), int(ab) - int(bb)} {
-				if d < 0 {
-					d = -d
-				}
-				if d > worst {
-					worst = d
-				}
-			}
-		}
-	}
-	return worst
-}
-
-// PSNR returns the peak signal-to-noise ratio between two images of
-// identical geometry, in dB (higher = closer; +Inf for identical images).
-// It is the standard objective-quality metric for lossy codecs and is used
-// to validate the staged pipeline against the reference decoder.
-func PSNR(a, b *Image) float64 {
-	if a.W != b.W || a.H != b.H {
-		return 0
-	}
-	var sse float64
-	n := 0
-	for y := 0; y < a.H; y++ {
-		for x := 0; x < a.W; x++ {
-			ar, ag, ab := a.At(x, y)
-			br, bg, bb := b.At(x, y)
-			for _, d := range [3]int{int(ar) - int(br), int(ag) - int(bg), int(ab) - int(bb)} {
-				sse += float64(d) * float64(d)
-				n++
-			}
-		}
-	}
-	if sse == 0 {
-		return math.Inf(1)
-	}
-	mse := sse / float64(n)
-	return 10 * math.Log10(255*255/mse)
 }

@@ -27,35 +27,6 @@ func WritePPM(w io.Writer, img *Image) error {
 	return bw.Flush()
 }
 
-// ReadPPM parses a binary PPM (P6) or PGM (P5) file written by WritePPM.
-func ReadPPM(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	var magic string
-	var w, h, maxval int
-	if _, err := fmt.Fscan(br, &magic, &w, &h, &maxval); err != nil {
-		return nil, fmt.Errorf("mjpeg: ppm header: %w", err)
-	}
-	if magic != "P6" && magic != "P5" {
-		return nil, fmt.Errorf("mjpeg: unsupported ppm magic %q", magic)
-	}
-	if maxval != 255 || w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("mjpeg: unsupported ppm geometry %dx%d max %d", w, h, maxval)
-	}
-	if _, err := br.ReadByte(); err != nil { // single whitespace after maxval
-		return nil, err
-	}
-	var img *Image
-	if magic == "P5" {
-		img = NewGray(w, h)
-	} else {
-		img = NewRGB(w, h)
-	}
-	if _, err := io.ReadFull(br, img.Pix); err != nil {
-		return nil, fmt.Errorf("mjpeg: ppm pixels: %w", err)
-	}
-	return img, nil
-}
-
 // StreamInfo summarizes one MJPEG stream: frame count, geometry of the
 // first frame and per-frame compressed sizes.
 type StreamInfo struct {

@@ -171,14 +171,13 @@ type mailbox struct {
 	senders   waitq // parked senders, each holding the message to admit
 	receivers waitq // parked receivers, waiting for the box to fill
 
-	// depthA/pendingA/maxDepthA mirror the depth, buffered bytes and
-	// high-water mark atomically: they are stored while holding mu, so the
-	// published values are always exact, but Depth/PendingBytes readers —
-	// the monitor's per-tick sweep over every mailbox — never take the lock
-	// and therefore never stall a sender or receiver mid-transfer.
-	depthA    atomic.Int64
-	pendingA  atomic.Int64
-	maxDepthA atomic.Int64
+	// depthA/pendingA mirror the depth and buffered bytes atomically: they
+	// are stored while holding mu, so the published values are always
+	// exact, but Depth/PendingBytes readers — the monitor's per-tick sweep
+	// over every mailbox — never take the lock and therefore never stall a
+	// sender or receiver mid-transfer.
+	depthA   atomic.Int64
+	pendingA atomic.Int64
 }
 
 func newMailbox(name string, capacity int64) *mailbox {
@@ -202,12 +201,8 @@ func (m *mailbox) push(msg core.Message) {
 // publish mirrors the occupancy into the lock-free atomics. Callers hold
 // mu.
 func (m *mailbox) publish() {
-	d := int64(len(m.buf) - m.head)
-	m.depthA.Store(d)
+	m.depthA.Store(int64(len(m.buf) - m.head))
 	m.pendingA.Store(m.pending)
-	if d > m.maxDepthA.Load() {
-		m.maxDepthA.Store(d)
-	}
 }
 
 // Send implements core.Mailbox.
@@ -304,9 +299,6 @@ func (m *mailbox) Depth() int { return int(m.depthA.Load()) }
 // PendingBytes reports the modelled bytes currently buffered (the live
 // part of the memory view). Lock-free, like Depth.
 func (m *mailbox) PendingBytes() int64 { return m.pendingA.Load() }
-
-// MaxDepth reports the high-water message count (for tests).
-func (m *mailbox) MaxDepth() int { return int(m.maxDepthA.Load()) }
 
 var _ core.Mailbox = (*mailbox)(nil)
 

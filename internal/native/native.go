@@ -53,7 +53,6 @@ type Binding struct {
 	epoch time.Time
 
 	locations int
-	nextLoc   int
 
 	comps    sync.WaitGroup // component goroutines
 	drivers  sync.WaitGroup // harness driver goroutines (waited on by Run)
@@ -64,7 +63,8 @@ type Binding struct {
 }
 
 // NewBinding creates a binding whose placement topology has the given
-// number of locations (callers typically pass runtime.NumCPU()).
+// number of locations (callers typically pass runtime.NumCPU()). Placement
+// is advisory on this platform: the Go scheduler owns core assignment.
 func NewBinding(locations int) *Binding {
 	if locations < 1 {
 		locations = 1
@@ -74,7 +74,6 @@ func NewBinding(locations int) *Binding {
 
 // platData is the per-component platform state.
 type platData struct {
-	loc int
 	// killed is the kill flag every primitive of the component's flow
 	// reads; flow is that flow, published at spawn so a kill can find
 	// where it waits.
@@ -89,7 +88,6 @@ type platData struct {
 	// copy-on-write: NewMailbox publishes a fresh slice under the binding
 	// lock, OSView readers (the monitor's per-tick sweep) load it lock-free.
 	mailboxes atomic.Pointer[[]*mailbox]
-	cycles    atomic.Int64 // modelled cycles charged through Compute
 }
 
 // PlatformName implements core.Binding.
@@ -113,14 +111,7 @@ func (b *Binding) data(c *core.Component) *platData {
 	if d, ok := c.PlatformData().(*platData); ok {
 		return d
 	}
-	loc := c.Placement()
-	if loc < 0 {
-		loc = b.nextLoc % b.locations
-		b.nextLoc++
-	} else {
-		loc = loc % b.locations
-	}
-	d := &platData{loc: loc}
+	d := &platData{}
 	d.memBytes.Store(GoroutineStackBytes)
 	c.SetPlatformData(d)
 	return d
@@ -290,16 +281,6 @@ func (d *platData) kill() {
 	}
 }
 
-// Location returns the placement slot assigned to a component (for tests
-// and reports). Locations are advisory on this platform: the Go scheduler
-// owns the actual core assignment.
-func (b *Binding) Location(c *core.Component) int { return b.data(c).loc }
-
-// CyclesCharged reports the modelled cycles a component charged through
-// Compute. On this platform modelled compute is accounting only — the real
-// cost of a body is the real code it runs.
-func (b *Binding) CyclesCharged(c *core.Component) int64 { return b.data(c).cycles.Load() }
-
 var _ core.Binding = (*Binding)(nil)
 
 // flow adapts a goroutine to core.Flow. Component flows carry their
@@ -329,16 +310,10 @@ func (f *flow) waiter() *waiter {
 	return &f.w
 }
 
-// Compute implements core.Flow. The modelled cycles are recorded but cost
-// no wall time: on the native platform the body's real computation is the
-// work, and the platform's job is to run it as fast as the hardware
-// allows.
-func (f *flow) Compute(cycles int64) {
-	f.checkKilled()
-	if f.comp != nil && cycles > 0 {
-		f.comp.cycles.Add(cycles)
-	}
-}
+// Compute implements core.Flow. Modelled cycles cost no wall time: on the
+// native platform the body's real computation is the work, and the
+// platform's job is to run it as fast as the hardware allows.
+func (f *flow) Compute(int64) { f.checkKilled() }
 
 // SleepUS implements core.Flow with a real wall-clock sleep. A component
 // flow waits on its own timer only; a kill fires it early.

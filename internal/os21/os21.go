@@ -30,37 +30,13 @@ const DefaultTaskBytes int64 = 60 * 1024
 // TaskSpawnCost is the virtual time charged when a task is created.
 const TaskSpawnCost = 40 * sim.Microsecond
 
-// RTOSEvent is a raw RTOS-level trace record: the granularity at which the
-// OS21 Activity Viewer observes the system — task IDs and byte counts, with
-// no notion of application components (see internal/actviewer).
-type RTOSEvent struct {
-	TimeNS int64
-	Kind   string // "task_create", "task_start", "task_exit", "transfer"
-	CPU    int
-	TaskID int
-	Arg    int64 // task memory for life-cycle events, bytes for transfers
-}
-
 // RTOS is one OS21 instance, bound to a single CPU of the chip.
 type RTOS struct {
 	Chip *sti7200.Chip
 	CPU  *sti7200.CPU
 
-	// KHook, when non-nil, receives RTOS-level events (the seam
-	// internal/actviewer attaches to).
-	KHook func(RTOSEvent)
-
 	tasks []*Task
 	heap  *sti7200.MemRegion // local memory on ST231, SDRAM view on ST40
-}
-
-func (o *RTOS) kevent(kind string, taskID int, arg int64) {
-	if o.KHook != nil {
-		o.KHook(RTOSEvent{
-			TimeNS: int64(o.Chip.K.Now()), Kind: kind,
-			CPU: o.CPU.ID, TaskID: taskID, Arg: arg,
-		})
-	}
 }
 
 // Boot starts an OS21 instance on CPU cpuIndex of the chip.
@@ -127,15 +103,12 @@ func (o *RTOS) CreateTask(name string, attr TaskAttr, fn func(t *Task)) (*Task, 
 		return nil, fmt.Errorf("os21: task %q: %w", name, err)
 	}
 	t := &Task{rtos: o, ID: len(o.tasks) + 1, Name: name, memBytes: mem}
-	o.kevent("task_create", t.ID, mem)
 	t.P = o.Chip.K.SpawnAt(TaskSpawnCost, o.CPU.Name()+"/"+name, func(p *sim.Proc) {
 		t.started = p.Now()
-		o.kevent("task_start", t.ID, 0)
 		// Record termination even when the task is killed (task_delete).
 		defer func() {
 			t.finished = p.Now()
 			t.done = true
-			o.kevent("task_exit", t.ID, 0)
 			if r := recover(); r != nil {
 				panic(r)
 			}
@@ -175,7 +148,6 @@ func (t *Task) ChargeTransfer(n int) sim.Duration {
 	t.rtos.Chip.Bus().Use(t.P, d)
 	t.rtos.CPU.Busy += d
 	t.cpuTime += d
-	t.rtos.kevent("transfer", t.ID, int64(n))
 	return d
 }
 

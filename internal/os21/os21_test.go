@@ -275,12 +275,6 @@ func TestTasksShareCPUSerialized(t *testing.T) {
 func TestKilledTaskRecordsExit(t *testing.T) {
 	k, chip := boot(t)
 	o := Boot(chip, 1)
-	var exits int
-	o.KHook = func(ev RTOSEvent) {
-		if ev.Kind == "task_exit" {
-			exits++
-		}
-	}
 	task, err := o.CreateTask("spin", TaskAttr{}, func(t *Task) {
 		for {
 			t.ComputeFor(sim.Millisecond)
@@ -296,7 +290,7 @@ func TestKilledTaskRecordsExit(t *testing.T) {
 	if !task.Done() {
 		t.Error("killed task not marked done")
 	}
-	if exits != 1 {
-		t.Errorf("task_exit events = %d, want 1", exits)
+	if got, want := task.FinishedAt(), sim.Time(10*sim.Millisecond); got != want {
+		t.Errorf("killed task finished at %v, want the kill instant %v", got, want)
 	}
 }

@@ -138,7 +138,10 @@ func WriteBundle(w io.Writer, b *Bundle) error {
 	return err
 }
 
-// ReadBundle deserializes a bundle written by WriteBundle.
+// ReadBundle deserializes a bundle written by WriteBundle. Each section is
+// read through a reader limited to its declared length, so memory grows
+// with the bytes actually present, never with what a length prefix claims;
+// a section shorter than its prefix fails.
 func ReadBundle(r io.Reader) (*Bundle, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -159,11 +162,14 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 		if size > wire.MaxFrameBytes {
 			return nil, fmt.Errorf("replaywl: %s section of %d bytes exceeds %d", what, size, wire.MaxFrameBytes)
 		}
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(io.LimitReader(r, int64(size))); err != nil {
 			return nil, fmt.Errorf("replaywl: reading %s: %w", what, err)
 		}
-		return buf, nil
+		if buf.Len() != int(size) {
+			return nil, fmt.Errorf("replaywl: %s section holds %d of its %d bytes", what, buf.Len(), size)
+		}
+		return buf.Bytes(), nil
 	}
 	man, err := section("manifest")
 	if err != nil {

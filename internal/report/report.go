@@ -7,13 +7,11 @@ package report
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
 
 	"embera/internal/core"
-	"embera/internal/perfstat"
 )
 
 // Sorted returns reports ordered by component name — stable output for
@@ -36,22 +34,6 @@ func WriteJSON(w io.Writer, reports map[string]core.ObsReport) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(Sorted(reports))
-}
-
-// ReadJSON parses reports written by WriteJSON, keyed by component.
-func ReadJSON(r io.Reader) (map[string]core.ObsReport, error) {
-	var list []core.ObsReport
-	if err := json.NewDecoder(r).Decode(&list); err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
-	out := make(map[string]core.ObsReport, len(list))
-	for _, rep := range list {
-		if rep.Component == "" {
-			return nil, fmt.Errorf("report: entry without component name")
-		}
-		out[rep.Component] = rep
-	}
-	return out, nil
 }
 
 // csvHeader is the flat per-component summary schema.
@@ -138,42 +120,6 @@ func WriteIfaceCSV(w io.Writer, reports map[string]core.ObsReport) error {
 					return err
 				}
 			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// benchCSVHeader is the flat per-experiment schema of WriteBenchCSV.
-var benchCSVHeader = []string{
-	"experiment", "total_ns", "total_allocs", "total_alloc_bytes",
-	"units", "ns_per_op", "allocs_per_op", "units_per_s", "overhead_pct",
-}
-
-// WriteBenchCSV exports a perfstat benchmark record (BENCH_embera.json) as
-// one CSV row per experiment, sorted by experiment id — the dashboard-ready
-// view of the performance trajectory that cmd/embera-perfdiff gates.
-func WriteBenchCSV(w io.Writer, rec perfstat.Record) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(benchCSVHeader); err != nil {
-		return err
-	}
-	ids := make([]string, 0, len(rec))
-	for id := range rec {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	ff := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, id := range ids {
-		e := rec[id]
-		if err := cw.Write([]string{
-			id,
-			strconv.FormatInt(e.TotalNs, 10),
-			strconv.FormatUint(e.TotalAllocs, 10),
-			strconv.FormatUint(e.TotalBytes, 10),
-			ff(e.Units), ff(e.NsPerOp), ff(e.AllocsPerOp), ff(e.Throughput), ff(e.OverheadPct),
-		}); err != nil {
-			return err
 		}
 	}
 	cw.Flush()

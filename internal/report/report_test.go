@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"embera/internal/core"
-	"embera/internal/perfstat"
 	"embera/internal/report"
 )
 
@@ -123,36 +122,5 @@ func TestSortedStable(t *testing.T) {
 		if a[i].Component != b[i].Component {
 			t.Fatal("sort not stable")
 		}
-	}
-}
-
-// TestWriteBenchCSV locks the perfstat-record CSV export: sorted rows, one
-// per experiment, with the overhead column preserved.
-func TestWriteBenchCSV(t *testing.T) {
-	on := perfstat.NewEntry(2_000_000, 800, 4096, 40)
-	on.OverheadPct = 3.5
-	rec := perfstat.Record{
-		"T1":                         perfstat.NewEntry(1_000_000, 500, 2048, 0),
-		"OV/smp×pipeline/monitor-on": on,
-	}
-	var buf bytes.Buffer
-	if err := report.WriteBenchCSV(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want header + 2", len(rows))
-	}
-	if rows[1][0] != "OV/smp×pipeline/monitor-on" || rows[2][0] != "T1" {
-		t.Fatalf("rows not sorted by experiment: %v / %v", rows[1][0], rows[2][0])
-	}
-	if rows[1][8] != "3.5" {
-		t.Fatalf("overhead_pct = %q, want 3.5", rows[1][8])
-	}
-	if rows[2][5] != "0" {
-		t.Fatalf("unitless ns_per_op = %q, want 0", rows[2][5])
 	}
 }

@@ -563,14 +563,33 @@ func parseLevel(s string) (core.ObsLevel, error) {
 	return 0, fmt.Errorf("unknown observation level %q (want os, middleware, application or all)", s)
 }
 
+// maxBodyBytes bounds the JSON body a control or policies POST may send;
+// reading stops there and the request is refused with 413.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it writes the reply — 413 for an oversized body, 400 for a
+// malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, map[string]string{"error": fmt.Sprintf("bad %s body: %v", what, err)})
+	return false
+}
+
 func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 	as, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
 	var req ControlRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad control body: %v", err)})
+	if !decodeBody(w, r, "control", &req) {
 		return
 	}
 	run := as.Run()
@@ -652,8 +671,7 @@ func (s *Server) handlePoliciesPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ps []ctl.Policy
-	if err := json.NewDecoder(r.Body).Decode(&ps); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad policies body: %v", err)})
+	if !decodeBody(w, r, "policies", &ps) {
 		return
 	}
 	// ctl validates shape; the serve layer additionally owns the level

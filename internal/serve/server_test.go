@@ -717,3 +717,75 @@ func TestPoliciesEndpointAndExecutor(t *testing.T) {
 	}
 	waitForCond(t, "sampling to resume", func() bool { return !as.Run().Stats().Paused })
 }
+
+// TestPostBodiesAndPolicyCountAreBounded: a control or policies body past
+// maxBodyBytes is refused with 413, a set of ctl.MaxPolicies+1 policies is
+// refused with 400 and leaves the installed set alone, and a set of
+// exactly the cap installs.
+func TestPostBodiesAndPolicyCountAreBounded(t *testing.T) {
+	p := platform.MustGet("smp")
+	w, err := platform.GetWorkload("pipeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(Config{})
+	defer s.Close()
+	as, err := s.AddAssembly("cap", p, w, exp.ServedOptions{
+		Options: exp.Options{Options: platform.Options{Scale: 4}, Monitor: &monitor.Config{}},
+		Pace:    time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	policies := func(n int) []byte {
+		ps := make([]ctl.Policy, n)
+		for i := range ps {
+			ps[i] = ctl.Policy{
+				Name: fmt.Sprintf("p%d", i), Component: "Sink",
+				Metric: ctl.MetricSendRate, Op: ">", Threshold: 1e18,
+				Action: ctl.Action{Type: ctl.ActPause},
+			}
+		}
+		b, err := json.Marshal(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	pad := strings.Repeat("x", maxBodyBytes)
+	if code, body := post("/v1/assemblies/cap/control", []byte(`{"action":"stop","pad":"`+pad+`"}`)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized control body: %d %s, want 413", code, body)
+	}
+	if code, body := post("/v1/assemblies/cap/policies", []byte(`[{"name":"`+pad+`"}]`)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized policies body: %d %s, want 413", code, body)
+	}
+
+	if code, body := post("/v1/assemblies/cap/policies", policies(1)); code != http.StatusOK {
+		t.Fatalf("install one policy: %d %s", code, body)
+	}
+	if code, body := post("/v1/assemblies/cap/policies", policies(ctl.MaxPolicies+1)); code != http.StatusBadRequest {
+		t.Errorf("cap+1 policies: %d %s, want 400", code, body)
+	}
+	if got := as.Ctl().Policies(); len(got) != 1 || got[0].Name != "p0" {
+		t.Errorf("a rejected set replaced the installed one: %+v", got)
+	}
+	if code, body := post("/v1/assemblies/cap/policies", policies(ctl.MaxPolicies)); code != http.StatusOK {
+		t.Fatalf("exactly the cap: %d %s, want 200", code, body)
+	}
+	if got := as.Ctl().Policies(); len(got) != ctl.MaxPolicies {
+		t.Errorf("installed %d policies, want %d", len(got), ctl.MaxPolicies)
+	}
+}

@@ -68,9 +68,6 @@ type Proc struct {
 // and Shutdown ends it). Observation service loops use this.
 func (p *Proc) SetDaemon(v bool) { p.daemon = v }
 
-// Daemon reports whether the process is marked as a daemon.
-func (p *Proc) Daemon() bool { return p.daemon }
-
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 

@@ -209,8 +209,6 @@ type mailbox struct {
 
 	data  *sim.Signal
 	space *sim.Signal
-
-	maxDepth int
 }
 
 // Send implements core.Mailbox. The sender pays the copy cost from its node
@@ -238,9 +236,6 @@ func (m *mailbox) Send(sender core.Flow, msg core.Message) bool {
 	f.t.CopyTo(m.node, msg.Bytes, m.addr)
 	m.buf = append(m.buf, msg)
 	m.pending += int64(msg.Bytes)
-	if d := len(m.buf) - m.head; d > m.maxDepth {
-		m.maxDepth = d
-	}
 	m.data.Fire()
 	return true
 }

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"embera/internal/core"
@@ -62,5 +65,36 @@ func TestRecorderReset(t *testing.T) {
 	evs := r.Events()
 	if len(evs) != 1 || evs[0].TimeUS != 99 {
 		t.Fatalf("post-Reset events = %+v, want the single new event", evs)
+	}
+}
+
+// hostileHeader is a bare trace header claiming nStrings strings and nRecs
+// records, with none of them present.
+func hostileHeader(nStrings, nRecs uint32) []byte {
+	b := append(magic[:], version)
+	b = binary.LittleEndian.AppendUint32(b, nStrings)
+	return binary.LittleEndian.AppendUint32(b, nRecs)
+}
+
+// TestReadHostileCountsAllocateLittle: a header's counts and a string's
+// length prefix are claims, not sizes. A tiny input that claims 2^20
+// records, 2^24 strings or one 65535-byte string must fail after
+// allocating for the bytes present, not for what it claims.
+func TestReadHostileCountsAllocateLittle(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"records": hostileHeader(0, 1<<20),
+		"strings": hostileHeader(1<<24, 0),
+		"string":  binary.LittleEndian.AppendUint16(hostileHeader(1, 0), 0xFFFF),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: %d-byte hostile header accepted", name, len(data))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+			t.Errorf("%s: reading a %d-byte hostile header allocated %d bytes, want under 64 KiB", name, len(data), n)
+		}
 	}
 }

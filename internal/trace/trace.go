@@ -13,6 +13,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -192,7 +193,9 @@ func Write(w io.Writer, events []core.Event) error {
 
 // Read deserializes a trace written by Write. Records are decoded from a
 // fixed-size scratch buffer, so the per-record cost is one ReadFull and six
-// integer loads.
+// integer loads. Strings and events are appended as they decode, never
+// pre-sized from the header's counts, so a header that overstates them
+// costs memory only for the bytes actually present.
 func Read(r io.Reader) ([]core.Event, error) {
 	var hdr [4 + 1 + 4 + 4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -209,20 +212,25 @@ func Read(r io.Reader) ([]core.Event, error) {
 	if nStrings > 1<<24 || nRecs > 1<<30 {
 		return nil, errors.New("trace: implausible header counts")
 	}
-	table := make([]string, nStrings)
+	var table []string
 	var scratch [recBytes]byte
-	for i := range table {
+	var str bytes.Buffer
+	for range nStrings {
 		if _, err := io.ReadFull(r, scratch[:2]); err != nil {
 			return nil, err
 		}
-		b := make([]byte, binary.LittleEndian.Uint16(scratch[:2]))
-		if _, err := io.ReadFull(r, b); err != nil {
+		n := binary.LittleEndian.Uint16(scratch[:2])
+		str.Reset()
+		if _, err := str.ReadFrom(io.LimitReader(r, int64(n))); err != nil {
 			return nil, err
 		}
-		table[i] = string(b)
+		if str.Len() != int(n) {
+			return nil, io.ErrUnexpectedEOF
+		}
+		table = append(table, str.String())
 	}
-	events := make([]core.Event, nRecs)
-	for i := range events {
+	var events []core.Event
+	for range nRecs {
 		if _, err := io.ReadFull(r, scratch[:]); err != nil {
 			return nil, err
 		}
@@ -231,13 +239,13 @@ func Read(r io.Reader) ([]core.Event, error) {
 		if int(comp) >= len(table) || int(ifac) >= len(table) {
 			return nil, errors.New("trace: string index out of range")
 		}
-		events[i] = core.Event{
+		events = append(events, core.Event{
 			TimeUS:    int64(binary.LittleEndian.Uint64(scratch[0:])),
 			DurUS:     int64(binary.LittleEndian.Uint64(scratch[8:])),
 			Component: table[comp], Interface: table[ifac],
 			Bytes: int(binary.LittleEndian.Uint32(scratch[24:])),
 			Kind:  core.EventKind(scratch[28]),
-		}
+		})
 	}
 	return events, nil
 }
