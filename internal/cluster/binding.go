@@ -62,6 +62,9 @@ func (b *binding) SpawnDriver(name string, run func(f core.Flow)) {
 	b.nat.SpawnDriver(name, run)
 }
 
+// NewTimer implements core.Binding.
+func (b *binding) NewTimer(fn func()) core.Timer { return b.nat.NewTimer(fn) }
+
 // NewMailbox implements core.Binding.
 func (b *binding) NewMailbox(c *core.Component, iface string, bufBytes int64) (core.Mailbox, error) {
 	return b.nat.NewMailbox(c, iface, bufBytes)

@@ -57,13 +57,32 @@ type Binding interface {
 	// the next time it would run; framework cleanup (mailbox release,
 	// life-cycle bookkeeping) still executes.
 	Kill(c *Component)
+
+	// NewTimer returns a disarmed timer that runs fn on the platform's
+	// clock: a kernel callback on the simulators, which costs no process
+	// and no virtual time, and a host timer on wall-clock platforms, which
+	// the machine waits for while it is armed. fn runs outside every
+	// component flow and must not block.
+	NewTimer(fn func()) Timer
+}
+
+// Timer is a one-shot platform timer (see Binding.NewTimer).
+type Timer interface {
+	// Reset arms the timer to run fn once, us platform microseconds from
+	// now. Call it before the run or from fn itself, never on an armed
+	// timer.
+	Reset(us int64)
+	// Wake runs an armed timer's fn now on wall-clock platforms. In virtual
+	// time it does nothing, so the deterministic schedule never depends on
+	// who called it. Safe from any goroutine.
+	Wake()
 }
 
 // WallClocked is an optional Binding refinement: a platform whose NowUS is
 // real wall-clock time rather than virtual time reports WallClock() true.
-// Consumers (the streaming monitor) use it to decide whether host-time
-// techniques — interruptible waits, self-cost measurement — are meaningful;
-// on virtual-time platforms they would perturb deterministic schedules.
+// Consumers (the streaming monitor's adaptive governor) use it to decide
+// whether host-time self-cost measurement is meaningful; on virtual-time
+// platforms it would perturb deterministic schedules.
 type WallClocked interface {
 	WallClock() bool
 }

@@ -74,13 +74,12 @@ type App struct {
 	// spawning flows — the point from which live reconfiguration is safe.
 	launched atomic.Bool
 
-	// live counts components that have not yet reached StateDone; quiesced
-	// is closed when the count hits zero. Platforms with real concurrency
-	// (and the monitor's wall-clock flows) wait on the channel instead of
-	// polling Done, so wind-down latency is event-driven, not a sleep
-	// period.
-	live     atomic.Int32
-	quiesced chan struct{}
+	// live counts components that have not yet reached StateDone; the last
+	// one to finish wakes every timer made by NewTimer, so wall-clock
+	// wind-down is event-driven, not a timer period.
+	live    atomic.Int32
+	timerMu sync.Mutex
+	timers  []Timer
 
 	// connMu guards the connection reference counts after Start
 	// (ProvidedIface.conns/senders) and serializes Reconnect against
@@ -96,8 +95,7 @@ type App struct {
 func NewApp(name string, b Binding) *App {
 	return &App{
 		Name: name, binding: b,
-		comps:    make(map[string]*Component),
-		quiesced: make(chan struct{}),
+		comps: make(map[string]*Component),
 	}
 }
 
@@ -339,10 +337,28 @@ func (a *App) Done() bool {
 	return len(a.order) > 0
 }
 
-// Quiesced returns a channel closed once every component has reached
-// StateDone — the event-driven counterpart of polling Done. It never
-// closes before Start, nor for an application with no components.
-func (a *App) Quiesced() <-chan struct{} { return a.quiesced }
+// NewTimer returns a timer on the app's binding (see Binding.NewTimer) that
+// the app wakes once its last component, local or external, has finished.
+func (a *App) NewTimer(fn func()) Timer {
+	t := a.binding.NewTimer(fn)
+	a.timerMu.Lock()
+	a.timers = append(a.timers, t)
+	a.timerMu.Unlock()
+	return t
+}
+
+// finished counts one component done, after its StateDone store; the last
+// one wakes the app's timers, for which Done then holds.
+func (a *App) finished() {
+	if a.live.Add(-1) != 0 {
+		return
+	}
+	a.timerMu.Lock()
+	defer a.timerMu.Unlock()
+	for _, t := range a.timers {
+		t.Wake()
+	}
+}
 
 // AwaitQuiescence blocks the calling flow until every component has
 // terminated, polling on virtual time. Observation drivers use it to query
@@ -579,11 +595,7 @@ func (c *Component) run(f Flow) {
 		for _, t := range remote {
 			t.CloseProducer()
 		}
-		// The countdown comes after the StateDone store, so once quiesced
-		// closes, Done() observably holds for every waiter.
-		if c.app.live.Add(-1) == 0 {
-			close(c.app.quiesced)
-		}
+		c.app.finished()
 		if r != nil {
 			panic(r)
 		}

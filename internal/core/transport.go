@@ -101,9 +101,7 @@ func (a *App) FinishExternal(c *Component) {
 		return
 	}
 	a.emit(Event{TimeUS: a.binding.NowUS(c), Kind: EvStop, Component: c.name})
-	if a.live.Add(-1) == 0 {
-		close(a.quiesced)
-	}
+	a.finished()
 }
 
 // Inject delivers a message straight into to's provided mailbox — the

@@ -287,3 +287,87 @@ func TestMonitorShardsDefaultClampsToComponents(t *testing.T) {
 		t.Fatalf("default ring shards = %d, want within [1, 2] for a 2-component app", got)
 	}
 }
+
+// TestMonitorNativeWindDown: the samplers and the pump are timers the app
+// wakes when its last component finishes, so a native run monitored at a
+// 10 s period and a 10 s window ends with its application, about 20 ms
+// in, instead of sleeping out a period, and still accounts for every
+// sample.
+func TestMonitorNativeWindDown(t *testing.T) {
+	m, a := platform.MustGet("native").New("wind-down")
+	a.MustNewComponent("short", func(ctx *core.Ctx) { ctx.SleepUS(20_000) })
+	mon, err := monitor.New(a, monitor.Config{
+		Levels:   []monitor.LevelPeriod{{Level: core.LevelApplication, PeriodUS: 10_000_000}},
+		WindowUS: 10_000_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := mon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(nativeHorizonUS); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("monitored run took %v, want its application's ~20ms, well under 1s", took)
+	}
+	if mon.Samples() == 0 {
+		t.Fatal("the wind-down tick took no sample")
+	}
+	if got, want := windowedSamples(mon.Windows()), mon.Samples(); got != want {
+		t.Fatalf("windowed samples = %d, accepted = %d", got, want)
+	}
+}
+
+// TestMonitorStopHaltsNativeSampler: Stop ends sampling on a native run
+// that never quiesces — a consumer waits on a mailbox no one sends to —
+// and nothing samples after it, before or after the machine is
+// interrupted.
+func TestMonitorStopHaltsNativeSampler(t *testing.T) {
+	m, a := platform.MustGet("native").New("stop")
+	a.MustNewComponent("stuck", func(ctx *core.Ctx) { ctx.Receive("in") }).MustAddProvided("in", 1<<10)
+	mon, err := monitor.New(a, monitor.Config{
+		Levels:   []monitor.LevelPeriod{{Level: core.LevelApplication, PeriodUS: 500}},
+		WindowUS: 2000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan error, 1)
+	go func() { ran <- m.Run(nativeHorizonUS) }()
+	for deadline := time.Now().Add(5 * time.Second); mon.Samples() < 5; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d samples before Stop", mon.Samples())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mon.Stop()
+	time.Sleep(10 * time.Millisecond) // the tick Stop fires, then nothing
+	stopped := mon.Samples()
+	time.Sleep(20 * time.Millisecond)
+	if got := mon.Samples(); got != stopped {
+		t.Fatalf("samples went %d → %d in the 20ms after Stop", stopped, got)
+	}
+	m.(platform.Interruptible).Interrupt()
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := mon.Samples(); got != stopped {
+		t.Fatalf("samples went %d → %d after the interrupted run", stopped, got)
+	}
+	if got := windowedSamples(mon.Windows()); got != stopped {
+		t.Fatalf("windowed samples = %d, accepted = %d", got, stopped)
+	}
+}

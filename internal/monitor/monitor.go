@@ -10,10 +10,12 @@
 // platform binding's clock — virtual time on the simulators (runs stay
 // deterministic), wall-clock time on the native platform (rates are real)
 // — and the SampleAll fast path so sampling costs neither simulated time
-// nor a message round-trip. Samples land in a
-// sharded, fixed-capacity ring (ring.go) that never grows and never loses
-// data silently: under overload the newest samples are shed and counted. A
-// pump flow drains the ring every window and folds samples into
+// nor a message round-trip. Samplers and the pump are platform timers
+// (core.Binding.NewTimer), not flows: kernel callbacks on the simulators,
+// host timers on wall-clock platforms, one code path for both. Samples land
+// in a sharded, fixed-capacity ring (ring.go) that never grows and never
+// loses data silently: under overload the newest samples are shed and
+// counted. The pump drains the ring every window and folds samples into
 // per-component aggregates (window.go): rolling send/receive-operation
 // rates, mailbox-depth high-water marks, and log-bucketed
 // latency/occupancy histograms with p50/p95/p99. Closed windows stream to
@@ -26,7 +28,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -103,33 +104,35 @@ func (cfg *Config) setDefaults(ncomps int) {
 	}
 }
 
-// samplerState is one sampler flow's live configuration. The periods are
-// atomic so the paper's control functions can retune a running sampler —
-// a long-running front end (embera-serve) changes sampling rates without
-// restarting the assembly — while the sampler flow reads them every tick.
+// samplerState is one sampler's live configuration. The periods are atomic
+// so the paper's control functions can retune a running sampler — a
+// long-running front end (embera-serve) changes sampling rates without
+// restarting the assembly — while the sampler reads them every tick.
 type samplerState struct {
 	level core.ObsLevel
 	// basePeriodUS is the configured period (what SetPeriod sets);
-	// effPeriodUS is the period actually slept, which the adaptive
+	// effPeriodUS is the period actually armed, which the adaptive
 	// controller may back off above base when ticks cost more than the
 	// overhead budget allows. With the controller off they are equal.
 	basePeriodUS atomic.Int64
 	effPeriodUS  atomic.Int64
 	// ewmaTickNs smooths the measured per-tick host cost (controller state;
-	// written by the sampler flow, read by SetPeriod for recomputes).
+	// written by the sampler's ticks, read by SetPeriod for recomputes).
 	ewmaTickNs atomic.Int64
-	// wake interrupts the wall-clock wait so a live SetPeriod applies
-	// immediately instead of after one sleep at the old period.
-	wake chan struct{}
+	// timer fires the sampler's ticks, one at a time.
+	timer core.Timer
 	// writer is the sampler's own partition of the ring's shards: one
 	// producer per shard, no lock on the push path.
 	writer *Writer
+	// batch is the reusable tick buffer, so steady-state sampling
+	// allocates nothing.
+	batch []Sample
 }
 
 // Monitor owns one streaming observation pipeline over one application.
-// The counters are atomic because on the native platform each sampler and
-// the pump are real goroutines; on the simulated platforms the atomics are
-// uncontended and free.
+// The counters are atomic because on wall-clock platforms the samplers'
+// and the pump's timers fire on goroutines of their own; on the simulated
+// platforms the atomics are uncontended and free.
 type Monitor struct {
 	app  *core.App
 	cfg  Config
@@ -140,7 +143,7 @@ type Monitor struct {
 	// samplers carries the live sampler configuration (one entry per
 	// cfg.Levels entry); windowUS and paused are the pump/sampler knobs the
 	// control surface flips at run time. All atomic: control calls arrive
-	// from arbitrary goroutines while the flows read them.
+	// from arbitrary goroutines while the timers read them.
 	samplers []*samplerState
 	windowUS atomic.Int64
 	paused   atomic.Bool
@@ -156,25 +159,16 @@ type Monitor struct {
 
 	samples      atomic.Uint64 // samples successfully pushed
 	sinkErrs     atomic.Uint64
-	liveSamplers atomic.Int32
+	liveSamplers atomic.Int32 // samplers still ticking
 	started      bool
+	stopped      atomic.Bool
+	pump         core.Timer // fires the windows
 
-	// wallClock marks a platform whose NowUS is host time. There the
-	// monitor flows wait on interruptible timers (woken by control calls,
-	// Stop and application quiescence) instead of fixed platform sleeps,
-	// and the adaptive controller may govern the sampling period. On
-	// virtual-time platforms both stay off: flows sleep in simulated time
-	// and runs remain deterministic.
-	wallClock bool
+	// govern runs the adaptive controller: only on a wall-clock platform
+	// with a budget, since in virtual time host-time feedback would perturb
+	// deterministic schedules.
+	govern    bool
 	budgetPct float64
-	appDone   <-chan struct{} // closed when every component terminated
-	// samplersDone closes when the last sampler flow exits: the pump's
-	// signal that one final drain accounts for every accepted sample.
-	samplersDone chan struct{}
-	pumpWake     chan struct{} // interrupts the pump's wall-clock wait
-
-	stop     chan struct{}
-	stopOnce sync.Once
 }
 
 // nowUS reads the monitor clock, relative to Start.
@@ -186,7 +180,7 @@ func (m *Monitor) nowUS() int64 {
 }
 
 // New validates cfg and builds the pipeline stages. Call Start (before or
-// after App.Start, in either order) to spawn the sampler and pump flows.
+// after App.Start, in either order) to arm the sampler and pump timers.
 func New(app *core.App, cfg Config) (*Monitor, error) {
 	if app == nil {
 		return nil, fmt.Errorf("monitor: nil app")
@@ -220,7 +214,7 @@ func New(app *core.App, cfg Config) (*Monitor, error) {
 	if ncomps > 0 && cfg.RingShards > ncomps {
 		cfg.RingShards = ncomps
 	}
-	// The SPSC contract needs one shard per sampler flow at minimum (each
+	// The SPSC contract needs one shard per sampler at minimum (each
 	// writer partition must own at least one shard), and NewRing clamps the
 	// shard count down to the capacity — so raise both floors here.
 	if cfg.RingShards < len(cfg.Levels) {
@@ -230,19 +224,15 @@ func New(app *core.App, cfg Config) (*Monitor, error) {
 		cfg.RingCapacity = cfg.RingShards
 	}
 	m := &Monitor{
-		app:          app,
-		cfg:          cfg,
-		ring:         NewRing(cfg.RingCapacity, cfg.RingShards),
-		agg:          NewAggregator(0),
-		mem:          NewMemorySink(),
-		stop:         make(chan struct{}),
-		budgetPct:    cfg.OverheadBudgetPct,
-		appDone:      app.Quiesced(),
-		samplersDone: make(chan struct{}),
-		pumpWake:     make(chan struct{}, 1),
+		app:       app,
+		cfg:       cfg,
+		ring:      NewRing(cfg.RingCapacity, cfg.RingShards),
+		agg:       NewAggregator(0),
+		mem:       NewMemorySink(),
+		budgetPct: cfg.OverheadBudgetPct,
 	}
 	if wc, ok := app.Binding().(core.WallClocked); ok && wc.WallClock() {
-		m.wallClock = true
+		m.govern = cfg.OverheadBudgetPct > 0
 	}
 	if comps := app.Components(); len(comps) > 0 {
 		m.clockComp = comps[0]
@@ -250,13 +240,17 @@ func New(app *core.App, cfg Config) (*Monitor, error) {
 	for i, lp := range cfg.Levels {
 		st := &samplerState{
 			level:  lp.Level,
-			wake:   make(chan struct{}, 1),
 			writer: m.ring.Writer(i, len(cfg.Levels)),
+			batch:  make([]Sample, 0, ncomps),
 		}
+		st.timer = app.NewTimer(func() { m.tick(st) })
 		st.basePeriodUS.Store(lp.PeriodUS)
 		st.effPeriodUS.Store(lp.PeriodUS)
 		m.samplers = append(m.samplers, st)
 	}
+	// The pump follows the samplers: the last one to stop wakes it, so it
+	// needs no quiescence wake of its own.
+	m.pump = app.Binding().NewTimer(m.window)
 	m.windowUS.Store(cfg.WindowUS)
 	// The monitor keeps its own copy of the sink list: the memory sink is
 	// written ahead of it, by pointer.
@@ -273,10 +267,10 @@ func New(app *core.App, cfg Config) (*Monitor, error) {
 	return m, nil
 }
 
-// Start spawns one sampler flow per configured level plus the pump flow.
-// All flows are framework services: they consume no modelled CPU, and they
-// terminate once the application has quiesced, so a monitored run leaves
-// the event queue as empty as a bare one.
+// Start arms one sampler timer per configured level plus the pump timer.
+// They consume no modelled CPU and no process, and they stop re-arming
+// once the application has quiesced, so a monitored run leaves the event
+// queue as empty as a bare one.
 func (m *Monitor) Start() error {
 	if m.started {
 		return fmt.Errorf("monitor: already started")
@@ -286,14 +280,21 @@ func (m *Monitor) Start() error {
 		m.baseUS = m.app.Binding().NowUS(m.clockComp)
 	}
 	m.liveSamplers.Store(int32(len(m.samplers)))
-	for i, st := range m.samplers {
-		st := st
-		m.app.SpawnDriver(fmt.Sprintf("monitor/sampler-%d-%s", i, st.level), func(f core.Flow) {
-			m.sampleLoop(f, st)
-		})
+	for _, st := range m.samplers {
+		m.arm(st)
 	}
-	m.app.SpawnDriver("monitor/pump", func(f core.Flow) { m.pumpLoop(f) })
+	m.pump.Reset(m.windowUS.Load())
 	return nil
+}
+
+// arm arms st's next tick one effective period on. A Stop or a quiescence
+// that came while the last tick ran woke a timer with nothing armed, so
+// arm fires the tick at once after either.
+func (m *Monitor) arm(st *samplerState) {
+	st.timer.Reset(st.effPeriodUS.Load())
+	if m.stopped.Load() || m.app.Done() {
+		st.timer.Wake()
+	}
 }
 
 // SampleTick is the monitor's per-tick hot path: sweep every component of
@@ -307,7 +308,7 @@ func (m *Monitor) Start() error {
 //
 // It is exported so the top-level benchmarks, the perfstat micro harness
 // and the zero-alloc regression test measure exactly the code the sampler
-// flows execute, not a copy that could drift.
+// ticks execute, not a copy that could drift.
 func SampleTick(app *core.App, level core.ObsLevel, nowUS int64, w *Writer,
 	buf []core.FastSample, batch []Sample) (accepted int, bufOut []core.FastSample, batchOut []Sample) {
 	sw := app.BeginSample(level)
@@ -324,67 +325,33 @@ func SampleTick(app *core.App, level core.ObsLevel, nowUS int64, w *Writer,
 	return w.PushBatch(batch), buf, batch
 }
 
-// sampleLoop is one sampler: wait one period, run one SampleTick. The
-// per-tick buffers are reused across ticks, so steady-state sampling
-// performs no per-tick allocation. Period and pause state are re-read
-// every tick; on wall-clock platforms the wait is additionally
-// interruptible (SetPeriod, Stop, application quiescence), so control
-// changes apply immediately rather than after one sleep at the old period,
-// and wind-down costs microseconds rather than a final period.
-func (m *Monitor) sampleLoop(f core.Flow, st *samplerState) {
-	defer func() {
-		if m.liveSamplers.Add(-1) == 0 {
-			close(m.samplersDone)
-		}
-	}()
-	batch := make([]Sample, 0, len(m.app.Components()))
-	var timer *time.Timer
-	if m.wallClock {
-		timer = time.NewTimer(time.Hour)
-		timer.Stop()
-		defer timer.Stop()
-	}
-	govern := m.wallClock && m.budgetPct > 0
-	for !m.app.Done() && !m.stopping() {
-		m.samplerWait(f, st, timer)
-		if m.paused.Load() {
-			continue
-		}
+// tick is one sampler tick: one SampleTick unless paused, then the next
+// tick one effective period on, until the application is done or Stop was
+// called. The last sampler to stop wakes the pump for its final drain.
+// Period and pause state are re-read every tick, and on wall-clock
+// platforms SetPeriod, Stop and application quiescence fire the tick
+// early, so control changes apply now rather than after one period at the
+// old setting, and wind-down costs microseconds rather than a period.
+func (m *Monitor) tick(st *samplerState) {
+	if !m.paused.Load() {
 		var t0 time.Time
-		if govern {
+		if m.govern {
 			t0 = time.Now()
 		}
 		var accepted int
-		accepted, _, batch = SampleTick(m.app, st.level, m.nowUS(), st.writer, nil, batch)
-		if accepted > 0 {
-			m.samples.Add(uint64(accepted))
-		}
-		if govern {
+		accepted, _, st.batch = SampleTick(m.app, st.level, m.nowUS(), st.writer, nil, st.batch)
+		m.samples.Add(uint64(accepted))
+		if m.govern {
 			m.observeTickCost(st, time.Since(t0))
 		}
 	}
-}
-
-// samplerWait blocks for one effective period. Virtual-time platforms
-// sleep in simulated time (the deterministic schedule must not depend on
-// host events); wall-clock platforms wait on a timer that SetPeriod, Stop
-// and application quiescence can all cut short.
-func (m *Monitor) samplerWait(f core.Flow, st *samplerState, timer *time.Timer) {
-	us := st.effPeriodUS.Load()
-	if !m.wallClock {
-		f.SleepUS(us)
+	if m.app.Done() || m.stopped.Load() {
+		if m.liveSamplers.Add(-1) == 0 {
+			m.pump.Wake()
+		}
 		return
 	}
-	timer.Reset(time.Duration(us) * time.Microsecond)
-	select {
-	case <-timer.C:
-	case <-st.wake:
-		timer.Stop()
-	case <-m.stop:
-		timer.Stop()
-	case <-m.appDone:
-		timer.Stop()
-	}
+	m.arm(st)
 }
 
 // ewmaShift is the adaptive controller's smoothing: each tick contributes
@@ -432,62 +399,22 @@ func governPeriodUS(ewmaNs, baseUS int64, budgetPct float64) int64 {
 	return eff
 }
 
-// pumpLoop drains the ring every window, folds the samples into the
-// aggregator and streams the closed windows to the sinks. It exits after
-// the final drain: application quiesced, every sampler gone, ring empty,
-// so the ring's buffers go back for the next monitor.
-func (m *Monitor) pumpLoop(f core.Flow) {
-	if m.wallClock {
-		m.pumpLoopWall()
+// window drains the ring, folds the samples into the aggregator and
+// streams the closed windows to the sinks, once a window. Samplers stop
+// only once the run is over, so when none is left and a drain came back
+// empty, one more drain accounts for every accepted sample: a sampler may
+// have pushed its last one after the first drain. Then the ring's buffers
+// go back for the next monitor. Until then the pump re-arms for one
+// window, and fires again at once if the samplers are already gone.
+func (m *Monitor) window() {
+	if m.drainAndFlush(m.nowUS()) == 0 && m.liveSamplers.Load() == 0 {
+		m.drainAndFlush(m.nowUS())
+		m.ring.release()
 		return
 	}
-	for {
-		f.SleepUS(m.windowUS.Load())
-		now := m.nowUS()
-		drained := m.drainAndFlush(now)
-		if drained == 0 && m.liveSamplers.Load() == 0 && (m.app.Done() || m.stopping()) {
-			// A sampler may push its final sample after the drain above and
-			// exit before the liveSamplers read. Samplers are certainly
-			// gone now, so one more sweep is enough to guarantee every
-			// accepted sample reaches a window.
-			m.drainAndFlush(m.nowUS())
-			m.ring.release()
-			return
-		}
-	}
-}
-
-// pumpLoopWall is the pump on wall-clock platforms: the window wait is an
-// interruptible timer, and the exit is event-driven — application
-// quiescence (or Stop) wakes it immediately, it waits for the samplers'
-// prompt exit, and one final drain accounts for every accepted sample.
-// Before this the pump slept whole uninterruptible windows after the
-// application had already finished, which dominated the measured cost of
-// monitoring short native runs.
-func (m *Monitor) pumpLoopWall() {
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	defer timer.Stop()
-	for {
-		timer.Reset(time.Duration(m.windowUS.Load()) * time.Microsecond)
-		select {
-		case <-timer.C:
-		case <-m.pumpWake:
-			timer.Stop()
-		case <-m.stop:
-			timer.Stop()
-		case <-m.appDone:
-			timer.Stop()
-		}
-		m.drainAndFlush(m.nowUS())
-		if m.app.Done() || m.stopping() {
-			// The same events that woke the pump wake every sampler, so
-			// this wait is microseconds, not a period.
-			<-m.samplersDone
-			m.drainAndFlush(m.nowUS())
-			m.ring.release()
-			return
-		}
+	m.pump.Reset(m.windowUS.Load())
+	if m.liveSamplers.Load() == 0 {
+		m.pump.Wake()
 	}
 }
 
@@ -517,22 +444,18 @@ func (m *Monitor) writeWindow(w *WindowStats) {
 	}
 }
 
-// Stop asks the sampler and pump flows to wind down even though the
+// Stop asks the samplers and the pump to wind down even though the
 // application never quiesced — the error-path counterpart of the natural
-// exit. Flows notice within one period/window of platform time. On the
-// simulated platforms the flows are daemons and a stop is never needed; on
-// the native platform a harness that started the monitor and then failed
-// before (or during) the run must call Stop or the driver goroutines poll
-// forever. Safe to call from any goroutine, any number of times.
-func (m *Monitor) Stop() { m.stopOnce.Do(func() { close(m.stop) }) }
-
-// stopping reports whether Stop was called.
-func (m *Monitor) stopping() bool {
-	select {
-	case <-m.stop:
-		return true
-	default:
-		return false
+// exit. On wall-clock platforms it fires the samplers now; in virtual time
+// they notice at their next tick, and a simulated run that ends early
+// simply drops the armed timers. A wall-clock harness that started the
+// monitor and then failed before (or during) the run must call Stop or
+// the timers re-arm forever. Safe to call from any goroutine, any number
+// of times.
+func (m *Monitor) Stop() {
+	m.stopped.Store(true)
+	for _, st := range m.samplers {
+		st.timer.Wake()
 	}
 }
 
@@ -540,9 +463,9 @@ func (m *Monitor) stopping() bool {
 // new sampling period, live. It is the paper's sampling-rate control
 // function exposed at run time (embera-serve's control API lands here) and
 // is safe to call from any goroutine on any platform — the samplers read
-// the period atomically. On wall-clock platforms the change also
-// interrupts any wait in progress, so retuning a 1 s sampler down to 1 ms
-// takes effect now, not up to a second later.
+// the period atomically. On wall-clock platforms the change also fires the
+// sampler now, so retuning a 1 s sampler down to 1 ms takes effect now,
+// not up to a second later.
 func (m *Monitor) SetPeriod(level core.ObsLevel, periodUS int64) error {
 	if periodUS <= 0 {
 		return fmt.Errorf("monitor: non-positive period %d µs", periodUS)
@@ -551,15 +474,12 @@ func (m *Monitor) SetPeriod(level core.ObsLevel, periodUS int64) error {
 	for _, st := range m.samplers {
 		if st.level == level {
 			st.basePeriodUS.Store(periodUS)
-			if m.wallClock && m.budgetPct > 0 {
+			if m.govern {
 				st.effPeriodUS.Store(governPeriodUS(st.ewmaTickNs.Load(), periodUS, m.budgetPct))
 			} else {
 				st.effPeriodUS.Store(periodUS)
 			}
-			select {
-			case st.wake <- struct{}{}:
-			default:
-			}
+			st.timer.Wake()
 			found = true
 		}
 	}
@@ -577,14 +497,11 @@ func (m *Monitor) SetWindowUS(windowUS int64) error {
 		return fmt.Errorf("monitor: non-positive window %d µs", windowUS)
 	}
 	m.windowUS.Store(windowUS)
-	select {
-	case m.pumpWake <- struct{}{}:
-	default:
-	}
+	m.pump.Wake()
 	return nil
 }
 
-// Pause suspends sampling without stopping the sampler flows: ticks keep
+// Pause suspends sampling without stopping the samplers: ticks keep
 // firing but take no samples, so Resume restarts observation instantly.
 // The pump keeps draining, so windows already buffered still close.
 func (m *Monitor) Pause() { m.paused.Store(true) }

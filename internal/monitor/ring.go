@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -18,8 +19,8 @@ import (
 //
 // Contract: at most one producer may push into a given shard at a time, and
 // at most one consumer may drain the ring at a time. The monitor satisfies
-// the producer side by partitioning shard ownership across its sampler
-// flows (see Writer) and the consumer side with its single pump flow.
+// the producer side by partitioning shard ownership across its samplers
+// (see Writer) and the consumer side with its single pump.
 // Concurrent producers on the same shard — or concurrent drains — are a
 // data race, exactly like two goroutines sharing an SPSC queue end.
 type Ring struct {
@@ -76,15 +77,26 @@ func NewRing(capacity, shards int) *Ring {
 // shardBufs recycles shard buffers between rings. A monitor's ring lives
 // for one run, and on a short simulated run allocating a fresh
 // default-capacity buffer, and faulting its pages in, would be the largest
-// fixed cost of leaving the monitor on. A pooled buffer is all zero:
+// fixed cost of leaving the monitor on. A sync.Pool drops its items within
+// two garbage collections, and a run spans several, so this is a free list
+// of at most 8 buffers. A free buffer is all zero up to its capacity:
 // release takes it only from an empty ring, whose drains have cleared
 // every slot they read.
-var shardBufs sync.Pool
+var shardBufs struct {
+	sync.Mutex
+	free [][]Sample
+}
 
-// newShardBuf returns a zeroed shard buffer of n samples.
+// newShardBuf returns a zeroed shard buffer of n samples: the most recently
+// freed one large enough, or a new one.
 func newShardBuf(n int) []Sample {
-	if p, ok := shardBufs.Get().(*[]Sample); ok && cap(*p) >= n {
-		return (*p)[:n]
+	shardBufs.Lock()
+	defer shardBufs.Unlock()
+	for i := len(shardBufs.free) - 1; i >= 0; i-- {
+		if buf := shardBufs.free[i]; cap(buf) >= n {
+			shardBufs.free = slices.Delete(shardBufs.free, i, i+1)
+			return buf[:n]
+		}
 	}
 	return make([]Sample, n)
 }
@@ -93,11 +105,13 @@ func newShardBuf(n int) []Sample {
 // is empty and no producer or consumer will touch it again; afterwards a
 // push counts as dropped and Capacity still reports the configured size.
 func (r *Ring) release() {
+	shardBufs.Lock()
+	defer shardBufs.Unlock()
 	for i := range r.shards {
-		if buf := r.shards[i].buf; buf != nil {
-			r.shards[i].buf = nil
-			shardBufs.Put(&buf)
+		if buf := r.shards[i].buf; buf != nil && len(shardBufs.free) < 8 {
+			shardBufs.free = append(shardBufs.free, buf)
 		}
+		r.shards[i].buf = nil
 	}
 }
 
@@ -137,7 +151,7 @@ func (r *Ring) PushBatch(s []Sample) int {
 }
 
 // Writer is the producer handle over a subset of the ring's shards. The
-// monitor gives each sampler flow its own Writer over a disjoint shard set,
+// monitor gives each sampler its own Writer over a disjoint shard set,
 // which is what upholds the single-producer contract without any lock on
 // the push path.
 type Writer struct {
@@ -162,7 +176,7 @@ func (r *Ring) Writer(idx, of int) *Writer {
 }
 
 // SoleWriter returns the producer handle owning every shard, for callers
-// with a single sampling flow (benchmarks, tests, single-level monitors).
+// with a single sampler (benchmarks, tests, single-level monitors).
 func (r *Ring) SoleWriter() *Writer { return &r.sole }
 
 // PushBatch distributes one tick's samples across the writer's owned

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -167,8 +168,27 @@ func TestRingReleaseRecyclesZeroedBuffers(t *testing.T) {
 	}
 	assertZeroRing(t, NewRing(8, 2))
 
-	// Monitors of concurrent runs trade buffers through the pool: every
-	// ring still starts zeroed.
+	// Released buffers outlive garbage collections, which a sync.Pool's do
+	// not: the next ring of the same shape reuses them.
+	r = NewRing(8, 2)
+	released := map[*Sample]bool{}
+	for i := range r.shards {
+		released[&r.shards[i].buf[0]] = true
+	}
+	r.release()
+	runtime.GC()
+	runtime.GC()
+	r = NewRing(8, 2)
+	for i := range r.shards {
+		if !released[&r.shards[i].buf[0]] {
+			t.Fatalf("shard %d got a new buffer after two GCs; the released ones were dropped", i)
+		}
+	}
+	assertZeroRing(t, r)
+	r.release()
+
+	// Monitors of concurrent runs trade buffers through the free list:
+	// every ring still starts zeroed.
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

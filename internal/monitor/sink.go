@@ -11,7 +11,7 @@ import (
 	"embera/internal/core"
 )
 
-// Sink receives closed window aggregates from the monitor's pump flow. A
+// Sink receives closed window aggregates from the monitor's pump. A
 // slow sink never blocks the samplers — the ring absorbs (and, under
 // overload, sheds) the backlog.
 type Sink interface {

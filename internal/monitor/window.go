@@ -186,8 +186,8 @@ type compAgg struct {
 }
 
 // Aggregator folds a stream of samples into per-component window
-// aggregates. It is not internally locked: the monitor drives it from a
-// single pump flow.
+// aggregates. It is not internally locked: the monitor drives it from its
+// single pump.
 type Aggregator struct {
 	startUS int64
 	comps   map[string]*compAgg

@@ -167,6 +167,45 @@ func (b *Binding) SpawnDriver(name string, run func(f core.Flow)) {
 	}()
 }
 
+// NewTimer implements core.Binding with a host timer. An armed timer
+// counts in the binding's drivers, so Machine.Run waits for it as for a
+// driver flow, until fn returns after any Reset it made. Each firing runs
+// on a goroutine of its own and holds mu, which only firings take, so it
+// follows the one before and fn's state passes from firing to firing.
+func (b *Binding) NewTimer(fn func()) core.Timer {
+	t := &timer{b: b}
+	t.t = time.AfterFunc(time.Hour, func() {
+		defer b.drivers.Done()
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		fn()
+	})
+	t.t.Stop()
+	return t
+}
+
+// timer is the native core.Timer.
+type timer struct {
+	b  *Binding
+	t  *time.Timer
+	mu sync.Mutex
+}
+
+// Reset implements core.Timer.
+func (t *timer) Reset(us int64) {
+	t.b.drivers.Add(1)
+	t.t.Reset(time.Duration(us) * time.Microsecond)
+}
+
+// Wake implements core.Timer. Only a Stop that finds the timer armed
+// re-arms it to fire now, so fn runs once per Reset however Wake races the
+// firing.
+func (t *timer) Wake() {
+	if t.t.Stop() {
+		t.t.Reset(0)
+	}
+}
+
 // NewMailbox implements core.Binding: a bounded, byte-accounted FIFO
 // charged to the component's memory.
 func (b *Binding) NewMailbox(c *core.Component, iface string, bufBytes int64) (core.Mailbox, error) {

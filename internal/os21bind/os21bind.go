@@ -116,6 +116,9 @@ func (b *Binding) SpawnDriver(name string, run func(f core.Flow)) {
 	b.SpawnService(name, run)
 }
 
+// NewTimer implements core.Binding with a kernel callback.
+func (b *Binding) NewTimer(fn func()) core.Timer { return svc.NewTimer(b.Chip.K, fn) }
+
 // NewServiceQueue implements core.Binding.
 func (b *Binding) NewServiceQueue(name string) core.Mailbox {
 	return svc.NewQueue(b.Chip.K, name)

@@ -46,6 +46,28 @@ func Spawn(k *sim.Kernel, name string, fn func(f *Flow)) {
 	p.SetDaemon(true)
 }
 
+// Timer is the simulators' core.Timer: a kernel callback, with no process
+// behind it. Reset(d) schedules due at now+d and due schedules fn at the
+// same instant, the same two events in the same dispatch order as a
+// service flow's SleepUS(d) wake and the resume it queues, so a callback
+// runs exactly where such a flow would have resumed.
+type Timer struct {
+	k   *sim.Kernel
+	due func()
+}
+
+// NewTimer returns a disarmed timer on k running fn. Both closures are
+// bound here, so a firing allocates nothing.
+func NewTimer(k *sim.Kernel, fn func()) *Timer {
+	return &Timer{k: k, due: func() { k.At(0, fn) }}
+}
+
+// Reset implements core.Timer.
+func (t *Timer) Reset(us int64) { t.k.At(sim.Duration(us)*sim.Microsecond, t.due) }
+
+// Wake implements core.Timer: virtual time is never cut short.
+func (t *Timer) Wake() {}
+
 // Queue is a zero-cost unbounded mailbox for observation traffic. It
 // satisfies core.Mailbox. Sends never block and charge no platform cost.
 type Queue struct {

@@ -112,3 +112,68 @@ func TestSpawnedFlowsAreDaemons(t *testing.T) {
 		t.Fatalf("daemon counted as deadlock: %v", err)
 	}
 }
+
+// TestTimerFiresWhereSleeperResumes: a callback armed with Reset(d) runs
+// at the place in the dispatch order where a service flow that called
+// SleepUS(d) at the same moment would have resumed, whether a third flow
+// waking at the same instant went to sleep before or after it.
+func TestTimerFiresWhereSleeperResumes(t *testing.T) {
+	const d = 100
+	run := func(timer, thirdFirst bool) []string {
+		k := sim.NewKernel()
+		var order []string
+		third := func() {
+			Spawn(k, "third", func(f *Flow) {
+				f.SleepUS(d)
+				order = append(order, "third")
+			})
+		}
+		if thirdFirst {
+			third()
+		}
+		Spawn(k, "arm", func(f *Flow) {
+			if timer {
+				NewTimer(k, func() { order = append(order, "woke") }).Reset(d)
+				return
+			}
+			f.SleepUS(d)
+			order = append(order, "woke")
+		})
+		if !thirdFirst {
+			third()
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return order
+	}
+	for _, thirdFirst := range []bool{false, true} {
+		slept, fired := run(false, thirdFirst), run(true, thirdFirst)
+		if len(fired) != 2 || fired[0] != slept[0] || fired[1] != slept[1] {
+			t.Fatalf("third flow first=%v: timer order %v, sleeper order %v", thirdFirst, fired, slept)
+		}
+	}
+}
+
+// TestTimerRearmAllocatesNothing: a timer that re-arms from its own
+// callback costs the kernel's recycled events only.
+func TestTimerRearmAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	fired := 0
+	var tm *Timer
+	tm = NewTimer(k, func() {
+		fired++
+		tm.Reset(10)
+	})
+	tm.Reset(10)
+	step := sim.Time(1000 * sim.Microsecond)
+	if err := k.RunUntil(k.Now() + step); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = k.RunUntil(k.Now() + step) }); allocs != 0 {
+		t.Fatalf("%.1f allocations per 100 firings, want 0", allocs)
+	}
+	if fired < 100*101 {
+		t.Fatalf("timer fired %d times, want at least %d", fired, 100*101)
+	}
+}
