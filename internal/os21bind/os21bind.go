@@ -67,13 +67,25 @@ func (b *Binding) RTOSFor(cpu int) *os21.RTOS {
 	return o
 }
 
-// data returns (creating on first use) the component's platform state,
-// assigning a CPU: the placement hint if given, otherwise the next unused
-// CPU ("one component per CPU").
+// data returns the component's platform state. The first time the binding
+// needs any component's, it places every component of the application, in
+// declaration order, so no read — a monitor's first clock reading, say —
+// decides where a component runs.
 func (b *Binding) data(c *core.Component) *platData {
 	if d, ok := c.PlatformData().(*platData); ok {
 		return d
 	}
+	for _, o := range c.App().Components() {
+		if o.PlatformData() == nil {
+			b.place(o)
+		}
+	}
+	return c.PlatformData().(*platData)
+}
+
+// place assigns c a CPU: the placement hint if given, otherwise the next
+// unused CPU ("one component per CPU").
+func (b *Binding) place(c *core.Component) {
 	cpu := c.Placement()
 	if cpu < 0 {
 		for b.nextCPU < b.Chip.NumCPUs() && b.used[b.nextCPU] {
@@ -86,9 +98,7 @@ func (b *Binding) data(c *core.Component) *platData {
 		cpu = cpu % b.Chip.NumCPUs()
 	}
 	b.used[cpu] = true
-	d := &platData{cpu: cpu, rtos: b.RTOSFor(cpu)}
-	c.SetPlatformData(d)
-	return d
+	c.SetPlatformData(&platData{cpu: cpu, rtos: b.RTOSFor(cpu)})
 }
 
 // Spawn implements core.Binding: the component becomes one OS21 task.
