@@ -93,7 +93,7 @@ func main() {
 	}
 
 	// The monitor feeds every closed window to the controller. Observe is
-	// pure decision-making, so it is safe inside the pump flow; the decided
+	// pure decision-making, so it is safe inside the pump; the decided
 	// firings cross to the executor driver under a lock.
 	var mu sync.Mutex
 	var pending []ctl.Firing

@@ -42,8 +42,8 @@ type policyState struct {
 // Controller evaluates installed policies against a stream of closed
 // windows. Observe is pure decision-making — constant-time bookkeeping
 // under one mutex, no I/O, no blocking — so it is safe to call from the
-// monitor's pump flow (a cooperative kernel flow on the simulators, the
-// sink path on native). Whatever executes the returned firings must do so
+// monitor's pump (a kernel callback on the simulators, a timer goroutine
+// on native). Whatever executes the returned firings must do so
 // elsewhere; executing them inline would deadlock a simulated pump.
 type Controller struct {
 	mu       sync.Mutex

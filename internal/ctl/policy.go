@@ -4,7 +4,7 @@
 // existing control surface (reconnect, migrate, terminate, sampling-rate
 // and window changes, pause/resume). The controller itself is pure — it
 // only decides; an executor owned by the embedding service applies the
-// firings — so policy evaluation can run inside the monitor's pump flow
+// firings — so policy evaluation can run inside the monitor's pump
 // without ever blocking it.
 //
 // The package also houses the fuzzed migration scheduler the differential

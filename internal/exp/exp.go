@@ -183,8 +183,8 @@ type hooks struct {
 // the platform horizon. It is the one run sequence behind Run and every
 // served generation. The cell comes back even on failure once the machine
 // exists, and any failure, finish's included, stops a started monitor: on
-// wall-clock platforms its drivers are real goroutines polling a run that
-// may never quiesce.
+// wall-clock platforms its timers would otherwise keep re-arming on a run
+// that may never quiesce.
 func lifecycle(p platform.Platform, w platform.Workload, opts Options, h hooks) (c *cell, err error) {
 	c = &cell{}
 	c.m, c.a = p.New(w.Name())

@@ -43,7 +43,7 @@ func TestGovernPeriodLaw(t *testing.T) {
 }
 
 // TestObserveTickCostBackoffAndRecovery drives the EWMA controller the way
-// the sampler flow does: sustained expensive ticks must back the effective
+// the sampler's ticks do: sustained expensive ticks must back the effective
 // period off the base, and once ticks get cheap again the period must
 // recover all the way back to the configured base — the adaptive-sampling
 // contract, deterministic because the tick costs are injected.

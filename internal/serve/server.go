@@ -21,7 +21,7 @@ import (
 
 // firingQueueCap bounds the per-assembly executor queue: a controller that
 // decides faster than actions apply sheds firings with a counted drop
-// rather than ever blocking the monitor's pump flow.
+// rather than ever blocking the monitor's pump.
 const firingQueueCap = 64
 
 // Config parameterizes a Server. The zero value is serviceable.
@@ -241,7 +241,7 @@ func (as *Assembly) AttachCounters(c monitor.LossCounters) {
 // WriteWindow implements monitor.Sink: flatten the window, stamp the
 // current generation's loss counters, remember it as the component's
 // latest, and publish. It never blocks — Publish is non-blocking by
-// contract — so the monitor's pump flow is never held up by subscribers.
+// contract — so the monitor's pump is never held up by subscribers.
 func (as *Assembly) WriteWindow(w monitor.WindowStats) error {
 	rec := monitor.NewWindowRecord(w)
 	as.mu.Lock()
