@@ -74,10 +74,11 @@ type App struct {
 	// spawning flows — the point from which live reconfiguration is safe.
 	launched atomic.Bool
 
-	// live counts components that have not yet reached StateDone; the last
-	// one to finish wakes every timer made by NewTimer, so wall-clock
-	// wind-down is event-driven, not a timer period.
+	// live counts components that have not yet finished; the last one to
+	// finish closes quiet and wakes every timer made by NewTimer, so
+	// quiescence is an event on every platform, not a poll.
 	live    atomic.Int32
+	quiet   Mailbox
 	timerMu sync.Mutex
 	timers  []Timer
 
@@ -96,6 +97,7 @@ func NewApp(name string, b Binding) *App {
 	return &App{
 		Name: name, binding: b,
 		comps: make(map[string]*Component),
+		quiet: b.NewServiceQueue(name + "/quiescence"),
 	}
 }
 
@@ -283,8 +285,8 @@ func (a *App) Start() error {
 	if a.started.Load() {
 		return fmt.Errorf("core: app %q already started", a.Name)
 	}
-	a.started.Store(true)
 	a.live.Store(int32(len(a.order)))
+	a.started.Store(true)
 
 	// Count live senders per provided interface so mailboxes close when the
 	// last producer terminates.
@@ -327,14 +329,10 @@ func (a *App) Start() error {
 // mailboxes materialize.
 func (a *App) Started() bool { return a.launched.Load() }
 
-// Done reports whether every component has terminated.
+// Done reports whether the app started with at least one component and
+// every one of them, local or external, has finished.
 func (a *App) Done() bool {
-	for _, c := range a.order {
-		if c.State() != StateDone {
-			return false
-		}
-	}
-	return len(a.order) > 0
+	return a.started.Load() && len(a.order) > 0 && a.live.Load() == 0
 }
 
 // NewTimer returns a timer on the app's binding (see Binding.NewTimer) that
@@ -348,11 +346,13 @@ func (a *App) NewTimer(fn func()) Timer {
 }
 
 // finished counts one component done, after its StateDone store; the last
-// one wakes the app's timers, for which Done then holds.
+// one closes the quiescence queue and wakes the app's timers, for which
+// Done then holds.
 func (a *App) finished() {
 	if a.live.Add(-1) != 0 {
 		return
 	}
+	a.quiet.Close()
 	a.timerMu.Lock()
 	defer a.timerMu.Unlock()
 	for _, t := range a.timers {
@@ -361,12 +361,12 @@ func (a *App) finished() {
 }
 
 // AwaitQuiescence blocks the calling flow until every component has
-// terminated, polling on virtual time. Observation drivers use it to query
-// final execution times.
+// finished: it waits on the quiescence queue the last one closes, so it
+// resumes at that instant, and on the simulators an assembly that
+// deadlocks first ends the run with the kernel's deadlock error.
+// Observation drivers use it to query final execution times.
 func (a *App) AwaitQuiescence(f Flow) {
-	for !a.Done() {
-		f.SleepUS(1000)
-	}
+	a.quiet.Receive(f)
 }
 
 // SpawnDriver starts a harness flow (e.g. an observation driver). Unlike

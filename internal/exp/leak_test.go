@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"embera/internal/core"
 	"embera/internal/monitor"
@@ -36,12 +37,12 @@ func (deadlockInstance) Check() error     { return nil }
 func (deadlockInstance) Summary() string  { return "deadlocked" }
 
 // TestSimulatedRunsLeaveNoGoroutines runs 20 rounds on both simulators —
-// an observed and a bare exp.Run, then a deadlocked assembly and one the
-// horizon cuts short, both run on the machine directly (exp.Run's
-// quiescence driver polls, so its runs never deadlock, and its horizon is
-// fixed) — and requires the goroutine count to come back to where it
-// started. Every simulated process, the observation daemons included,
-// must end with its run.
+// an observed and a bare exp.Run, a deadlocked assembly through exp.Run,
+// whose quiescence driver waits without polling, so the kernel names the
+// deadlock at once, and one the horizon cuts short, run on the machine
+// directly (exp.Run's horizon is fixed) — and requires the goroutine count
+// to come back to where it started. Every simulated process, the
+// observation daemons included, must end with its run.
 func TestSimulatedRunsLeaveNoGoroutines(t *testing.T) {
 	w := platform.MustGetWorkload("pipeline")
 	before := runtime.NumGoroutine()
@@ -56,6 +57,16 @@ func TestSimulatedRunsLeaveNoGoroutines(t *testing.T) {
 				if n := res.Kernel.Live(); n != 0 {
 					t.Fatalf("%s: %d processes live after the run", pn, n)
 				}
+			}
+			t0 := time.Now()
+			_, err := Run(p, deadlockWorkload{}, Options{})
+			var de *sim.DeadlockError
+			if !errors.As(err, &de) || len(de.Parked) != 2 ||
+				!strings.Contains(err.Error(), "x (") || !strings.Contains(err.Error(), "y (") {
+				t.Fatalf("%s: deadlocked exp.Run returned %v, want a *sim.DeadlockError naming x and y", pn, err)
+			}
+			if d := time.Since(t0); d > time.Second {
+				t.Fatalf("%s: deadlocked exp.Run took %v to fail, want under 1 s", pn, d)
 			}
 			cut := func(w platform.Workload, horizonUS int64) error {
 				m, a := p.New(w.Name())
@@ -73,10 +84,6 @@ func TestSimulatedRunsLeaveNoGoroutines(t *testing.T) {
 					t.Fatalf("%s×%s: %d processes live after the run", pn, w.Name(), n)
 				}
 				return err
-			}
-			var de *sim.DeadlockError
-			if err := cut(deadlockWorkload{}, 3600e6); !errors.As(err, &de) {
-				t.Fatalf("%s: deadlocked run returned %v, want a *sim.DeadlockError", pn, err)
 			}
 			if err := cut(w, 1); err == nil || !strings.Contains(err.Error(), "horizon") {
 				t.Fatalf("%s: run cut at 1 µs returned %v, want a horizon error", pn, err)
