@@ -47,23 +47,20 @@ func Spawn(k *sim.Kernel, name string, fn func(f *Flow)) {
 }
 
 // Timer is the simulators' core.Timer: a kernel callback, with no process
-// behind it. Reset(d) schedules due at now+d and due schedules fn at the
-// same instant, the same two events in the same dispatch order as a
-// service flow's SleepUS(d) wake and the resume it queues, so a callback
-// runs exactly where such a flow would have resumed.
+// behind it. Reset(d) schedules fn itself at now+d as one kernel event: fn
+// runs when that event dispatches, ahead of the resumes that wakes due at
+// the same instant queue.
 type Timer struct {
-	k   *sim.Kernel
-	due func()
+	k  *sim.Kernel
+	fn func()
 }
 
-// NewTimer returns a disarmed timer on k running fn. Both closures are
-// bound here, so a firing allocates nothing.
-func NewTimer(k *sim.Kernel, fn func()) *Timer {
-	return &Timer{k: k, due: func() { k.At(0, fn) }}
-}
+// NewTimer returns a disarmed timer on k running fn. A firing allocates
+// nothing: fn is bound once, here.
+func NewTimer(k *sim.Kernel, fn func()) *Timer { return &Timer{k: k, fn: fn} }
 
 // Reset implements core.Timer.
-func (t *Timer) Reset(us int64) { t.k.At(sim.Duration(us)*sim.Microsecond, t.due) }
+func (t *Timer) Reset(us int64) { t.k.At(sim.Duration(us)*sim.Microsecond, t.fn) }
 
 // Wake implements core.Timer: virtual time is never cut short.
 func (t *Timer) Wake() {}

@@ -113,13 +113,13 @@ func TestSpawnedFlowsAreDaemons(t *testing.T) {
 	}
 }
 
-// TestTimerFiresWhereSleeperResumes: a callback armed with Reset(d) runs
-// at the place in the dispatch order where a service flow that called
-// SleepUS(d) at the same moment would have resumed, whether a third flow
-// waking at the same instant went to sleep before or after it.
-func TestTimerFiresWhereSleeperResumes(t *testing.T) {
+// TestTimerFiresAsOneEvent: a callback armed with Reset(d) is one kernel
+// event at now+d and runs when it dispatches, ahead of the resume of a
+// flow whose SleepUS(d) ends at the same instant, whether that flow went to
+// sleep before or after the timer was armed.
+func TestTimerFiresAsOneEvent(t *testing.T) {
 	const d = 100
-	run := func(timer, thirdFirst bool) []string {
+	for _, thirdFirst := range []bool{false, true} {
 		k := sim.NewKernel()
 		var order []string
 		third := func() {
@@ -132,12 +132,12 @@ func TestTimerFiresWhereSleeperResumes(t *testing.T) {
 			third()
 		}
 		Spawn(k, "arm", func(f *Flow) {
-			if timer {
-				NewTimer(k, func() { order = append(order, "woke") }).Reset(d)
-				return
-			}
-			f.SleepUS(d)
-			order = append(order, "woke")
+			NewTimer(k, func() {
+				if now := k.Now(); now != sim.Time(d*sim.Microsecond) {
+					t.Errorf("timer fired at %d, want %d", now, sim.Time(d*sim.Microsecond))
+				}
+				order = append(order, "woke")
+			}).Reset(d)
 		})
 		if !thirdFirst {
 			third()
@@ -145,13 +145,17 @@ func TestTimerFiresWhereSleeperResumes(t *testing.T) {
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return order
-	}
-	for _, thirdFirst := range []bool{false, true} {
-		slept, fired := run(false, thirdFirst), run(true, thirdFirst)
-		if len(fired) != 2 || fired[0] != slept[0] || fired[1] != slept[1] {
-			t.Fatalf("third flow first=%v: timer order %v, sleeper order %v", thirdFirst, fired, slept)
+		if len(order) != 2 || order[0] != "woke" || order[1] != "third" {
+			t.Fatalf("third flow first=%v: order %v, want [woke third]", thirdFirst, order)
 		}
+	}
+	k := sim.NewKernel()
+	NewTimer(k, func() {}).Reset(d)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := k.Stats(); st.Scheduled != 1 || st.Dispatched != 1 {
+		t.Fatalf("a firing scheduled %d and dispatched %d events, want 1 and 1", st.Scheduled, st.Dispatched)
 	}
 }
 
