@@ -6,9 +6,11 @@ import (
 
 	"embera/internal/core"
 	"embera/internal/linux"
+	"embera/internal/os21bind"
 	"embera/internal/sim"
 	"embera/internal/smp"
 	"embera/internal/smpbind"
+	"embera/internal/sti7200"
 )
 
 // newSMPApp builds an empty app on a fresh simulated SMP/Linux platform.
@@ -17,6 +19,14 @@ func newSMPApp(t *testing.T, name string) (*core.App, *sim.Kernel, *smpbind.Bind
 	k := sim.NewKernel()
 	sys := linux.NewSystem(smp.MustNew(k, smp.DefaultConfig()))
 	b := smpbind.New(sys, name)
+	return core.NewApp(name, b), k, b
+}
+
+// newSTiApp builds an empty app on a fresh simulated STi7200/OS21 platform.
+func newSTiApp(t *testing.T, name string) (*core.App, *sim.Kernel, *os21bind.Binding) {
+	t.Helper()
+	k := sim.NewKernel()
+	b := os21bind.New(sti7200.MustNew(k, sti7200.DefaultConfig()))
 	return core.NewApp(name, b), k, b
 }
 

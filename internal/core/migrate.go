@@ -20,8 +20,9 @@ import "fmt"
 // Migration presumes the two providers are interchangeable consumers of the
 // moved messages, and that the new consumer is live (Inject observes real
 // backpressure; a full mailbox whose consumer is gone would block the
-// migrating flow). Like Reconnect, Migrate must run from kernel context or a
-// driver flow, never from a component body mid-send.
+// migrating flow). Migrate must run on a driver flow, never from a
+// component body mid-send; every binding serves a driver's receives and
+// injections at zero modelled cost, each injection waiting for room.
 func (a *App) Migrate(f Flow, from *Component, req string, to *Component, prov string) error {
 	old, closedOld, err := a.rebind(from, req, to, prov)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"embera/internal/core"
+	"embera/internal/os21bind"
+	"embera/internal/sim"
 )
 
 // TestMigrateMovesBacklog: when the rewired producer was the old inbox's
@@ -155,5 +157,102 @@ func TestMigrateValidation(t *testing.T) {
 	run(t, k, a)
 	if *gotA+*gotB != 100 {
 		t.Fatalf("messages lost or duplicated: %d + %d != 100", *gotA, *gotB)
+	}
+}
+
+// TestMigrateFromDriverFillsNewInboxWithinCapacity: a migrate run from a
+// driver flow that closes the old inbox moves a backlog 16 times larger
+// than the new inbox, on both simulators. The drain must not panic, must
+// wait for room in the new inbox instead of overfilling it, and every
+// message must be consumed exactly once.
+func TestMigrateFromDriverFillsNewInboxWithinCapacity(t *testing.T) {
+	const (
+		msgs       = 64
+		msgBytes   = 256
+		spareBytes = 1024
+	)
+	for _, pn := range []string{"smp", "sti7200"} {
+		t.Run(pn, func(t *testing.T) {
+			var a *core.App
+			var k *sim.Kernel
+			var held func() int64 // bytes buffered in spare.in
+			if pn == "smp" {
+				a, k, _ = newSMPApp(t, "migrate-driver")
+			} else {
+				var b *os21bind.Binding
+				a, k, b = newSTiApp(t, "migrate-driver")
+				held = func() int64 {
+					o, _ := b.Tr.Object("spare.in")
+					return o.Pending()
+				}
+			}
+			prod := a.MustNewComponent("prod", func(ctx *core.Ctx) {
+				for i := 0; i < msgs; i++ {
+					ctx.Send("out", i, msgBytes)
+				}
+				ctx.SleepUS(50_000) // keep the edge open until the migrate
+			}).MustAddRequired("out")
+			got := make([]int, msgs)
+			var spare *core.Component
+			overfull := int64(0)
+			consume := func(sleepUS int64) core.Body {
+				return func(ctx *core.Ctx) {
+					ctx.SleepUS(sleepUS)
+					for {
+						m, ok := ctx.Receive("in")
+						if !ok {
+							return
+						}
+						got[m.Payload.(int)]++
+						if ctx.Component() == spare {
+							if b := held(); b > overfull {
+								overfull = b
+							}
+							ctx.Compute(1_000_000)
+						}
+					}
+				}
+			}
+			slow := a.MustNewComponent("slow", consume(20_000)).MustAddProvided("in", msgs*msgBytes)
+			spare = a.MustNewComponent("spare", consume(0)).MustAddProvided("in", spareBytes)
+			if held == nil {
+				held = func() int64 {
+					for _, in := range spare.Snapshot(core.LevelApplication).App.Interfaces {
+						if in.Name == "in" && in.Type == "provided" {
+							return int64(in.Depth) * msgBytes
+						}
+					}
+					return 0
+				}
+			}
+			a.MustConnect(prod, "out", slow, "in")
+			var migrateErr error
+			a.SpawnDriver("migrate", func(f core.Flow) {
+				f.SleepUS(5_000)
+				migrateErr = a.Migrate(f, prod, "out", spare, "in")
+			})
+			if err := a.Start(); err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("run panicked: %v", r)
+					}
+				}()
+				run(t, k, a)
+			}()
+			if migrateErr != nil {
+				t.Fatalf("migrate: %v", migrateErr)
+			}
+			for i, n := range got {
+				if n != 1 {
+					t.Fatalf("message %d consumed %d times", i, n)
+				}
+			}
+			if overfull > spareBytes {
+				t.Fatalf("spare.in held %d bytes, capacity %d", overfull, spareBytes)
+			}
+		})
 	}
 }

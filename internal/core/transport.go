@@ -105,9 +105,10 @@ func (a *App) FinishExternal(c *Component) {
 }
 
 // Inject delivers a message straight into to's provided mailbox — the
-// receiving half of a remote edge. The injecting flow observes the same
-// backpressure a local producer would (it blocks while the mailbox is
-// full); ok is false once the mailbox has closed. Middleware counters are
+// receiving half of a remote edge, and a migrate's drain. The injecting
+// driver flow observes the same backpressure a local producer would (it
+// blocks while the mailbox lacks room) at zero modelled cost; ok is false
+// once the mailbox has closed. Middleware counters are
 // NOT recorded here: the real producer recorded the send in its own
 // process, and the consumer records the receive — injection is transport
 // plumbing, not a communication primitive.

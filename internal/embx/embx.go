@@ -141,21 +141,23 @@ func (o *Object) Pending() int64 { return o.pendingBytes }
 func (o *Object) Send(t *os21.Task, data []byte) (sim.Duration, error) {
 	owned := make([]byte, len(data))
 	copy(owned, data)
-	return o.send(t, owned, len(data), nil)
+	return o.send(t.P, t, owned, len(data), nil)
 }
 
 // SendOpaque writes a message of the given modelled size whose content is an
 // opaque Go value rather than real bytes: the transfer cost and buffer
 // accounting use size, while meta rides along for the EMBera binding. The
-// returned data from ReceiveMeta is nil for such messages.
-func (o *Object) SendOpaque(t *os21.Task, size int, meta any) (sim.Duration, error) {
+// returned data from ReceiveMeta is nil for such messages. A nil t sends
+// from p, a process that is no task (a harness driver): from CPU -1, at
+// zero transfer cost, still waiting for room.
+func (o *Object) SendOpaque(p *sim.Proc, t *os21.Task, size int, meta any) (sim.Duration, error) {
 	if size < 0 {
 		return 0, fmt.Errorf("embx: negative opaque size %d", size)
 	}
-	return o.send(t, nil, size, meta)
+	return o.send(p, t, nil, size, meta)
 }
 
-func (o *Object) send(t *os21.Task, data []byte, size int, meta any) (sim.Duration, error) {
+func (o *Object) send(p *sim.Proc, t *os21.Task, data []byte, size int, meta any) (sim.Duration, error) {
 	if o.deleted {
 		return 0, fmt.Errorf("embx: send on deleted object %q", o.name)
 	}
@@ -166,20 +168,23 @@ func (o *Object) send(t *os21.Task, data []byte, size int, meta any) (sim.Durati
 		return 0, fmt.Errorf("embx: message of %d bytes exceeds object %q size %d",
 			size, o.name, o.size)
 	}
-	o.space.AwaitWhile(t.P, (*lacksRoom)(o), int64(size))
+	o.space.AwaitWhile(p, (*lacksRoom)(o), int64(size))
 	if o.deleted {
 		return 0, fmt.Errorf("embx: object %q deleted while blocked in send", o.name)
 	}
 	if o.closed {
 		return 0, ErrClosed
 	}
-	start := t.P.Now()
-	t.ChargeTransfer(size)
-	o.buf = append(o.buf, message{data: data, meta: meta, size: size, from: t.RTOS().CPU.ID})
+	start, from := p.Now(), -1
+	if t != nil {
+		t.ChargeTransfer(size)
+		from = t.RTOS().CPU.ID
+	}
+	o.buf = append(o.buf, message{data: data, meta: meta, size: size, from: from})
 	o.pendingBytes += int64(size)
 	o.sends++
 	o.tr.chip.Intc.Raise(o.owner, o.irq)
-	return sim.Duration(t.P.Now() - start), nil
+	return sim.Duration(p.Now() - start), nil
 }
 
 // lacksRoom is the Blocker of a blocked send: the live, open object has no
@@ -195,14 +200,16 @@ func (o *lacksRoom) Blocked(need int64) bool {
 // CPU. It returns the payload, the sender CPU ID and the time the read took
 // (excluding the wait).
 func (o *Object) Receive(t *os21.Task) (data []byte, fromCPU int, cost sim.Duration, err error) {
-	data, _, fromCPU, cost, err = o.ReceiveMeta(t)
+	data, _, fromCPU, cost, err = o.ReceiveMeta(t.P, t)
 	return data, fromCPU, cost, err
 }
 
 // ReceiveMeta is Receive that also returns the opaque companion value
-// attached by SendOpaque (nil for plain Sends).
-func (o *Object) ReceiveMeta(t *os21.Task) (data []byte, meta any, fromCPU int, cost sim.Duration, err error) {
-	if t.RTOS().CPU.ID != o.owner {
+// attached by SendOpaque (nil for plain Sends). A nil t receives on p, a
+// process that is no task (a harness driver), from any CPU at zero
+// transfer cost, still waiting on the object's message interrupts.
+func (o *Object) ReceiveMeta(p *sim.Proc, t *os21.Task) (data []byte, meta any, fromCPU int, cost sim.Duration, err error) {
+	if t != nil && t.RTOS().CPU.ID != o.owner {
 		return nil, nil, 0, 0, fmt.Errorf("embx: receive on object %q owned by CPU %d from CPU %d",
 			o.name, o.owner, t.RTOS().CPU.ID)
 	}
@@ -216,7 +223,7 @@ func (o *Object) ReceiveMeta(t *os21.Task) (data []byte, meta any, fromCPU int, 
 		if o.closed && !o.buffered() {
 			return nil, nil, 0, 0, ErrClosed
 		}
-		o.avail.Wait(t.P)
+		o.avail.Wait(p)
 		if o.buffered() {
 			break
 		}
@@ -235,10 +242,12 @@ func (o *Object) ReceiveMeta(t *os21.Task) (data []byte, meta any, fromCPU int, 
 	o.buf, o.head = buf, head
 	o.pendingBytes -= int64(msg.size)
 	o.receives++
-	start := t.P.Now()
-	t.ChargeTransfer(msg.size)
+	start := p.Now()
+	if t != nil {
+		t.ChargeTransfer(msg.size)
+	}
 	o.space.Fire()
-	return msg.data, msg.meta, msg.from, sim.Duration(t.P.Now() - start), nil
+	return msg.data, msg.meta, msg.from, sim.Duration(p.Now() - start), nil
 }
 
 // buffered reports whether a written message awaits its reader.

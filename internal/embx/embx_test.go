@@ -392,7 +392,7 @@ func herd(t *testing.T, msgs int) (order []int, st sim.KernelStats, mallocs uint
 	order = make([]int, 0, senders*msgs)
 	if _, err := f.acc.CreateTask("recv", os21.TaskAttr{}, func(task *os21.Task) {
 		for range senders * msgs {
-			_, meta, _, _, err := obj.ReceiveMeta(task)
+			_, meta, _, _, err := obj.ReceiveMeta(task.P, task)
 			if err != nil {
 				panic(err)
 			}
@@ -405,7 +405,7 @@ func herd(t *testing.T, msgs int) (order []int, st sim.KernelStats, mallocs uint
 		var from any = i
 		if _, err := f.host.CreateTask(fmt.Sprintf("send%d", i), os21.TaskAttr{}, func(task *os21.Task) {
 			for range msgs {
-				if _, err := obj.SendOpaque(task, size, from); err != nil {
+				if _, err := obj.SendOpaque(task.P, task, size, from); err != nil {
 					panic(err)
 				}
 			}

@@ -211,13 +211,18 @@ type mailbox struct {
 	obj *embx.Object
 }
 
+// task returns the OS21 task behind a component flow, nil for a driver
+// flow, which reaches EMBX at zero modelled cost.
+func task(f core.Flow) *os21.Task {
+	if cf, ok := f.(*flow); ok {
+		return cf.t
+	}
+	return nil
+}
+
 // Send implements core.Mailbox: an EMBX_Send of the message's modelled size.
 func (m *mailbox) Send(sender core.Flow, msg core.Message) bool {
-	f, ok := sender.(*flow)
-	if !ok {
-		panic("os21bind: send from foreign flow type (service flows do not reach EMBX)")
-	}
-	_, err := m.obj.SendOpaque(f.t, msg.Bytes, msg)
+	_, err := m.obj.SendOpaque(svc.ProcOf(sender), task(sender), msg.Bytes, msg)
 	if err == embx.ErrClosed {
 		return false
 	}
@@ -229,11 +234,7 @@ func (m *mailbox) Send(sender core.Flow, msg core.Message) bool {
 
 // Receive implements core.Mailbox: an EMBX_Receive on the owning CPU.
 func (m *mailbox) Receive(receiver core.Flow) (core.Message, bool) {
-	f, ok := receiver.(*flow)
-	if !ok {
-		panic("os21bind: receive from foreign flow type")
-	}
-	_, meta, _, _, err := m.obj.ReceiveMeta(f.t)
+	_, meta, _, _, err := m.obj.ReceiveMeta(svc.ProcOf(receiver), task(receiver))
 	if err == embx.ErrClosed {
 		return core.Message{}, false
 	}

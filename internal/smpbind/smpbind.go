@@ -214,29 +214,22 @@ type mailbox struct {
 	space *sim.Signal
 }
 
-// Send implements core.Mailbox. The sender pays the copy cost from its node
-// to the mailbox's node; it blocks while the buffer lacks room.
+// Send implements core.Mailbox. The sender blocks while the buffer lacks
+// room; a component's thread then pays the copy cost from its node to the
+// mailbox's node, while a driver flow (Inject, a migrate's drain) copies at
+// zero modelled cost.
 func (m *mailbox) Send(sender core.Flow, msg core.Message) bool {
-	f, ok := sender.(*flow)
-	if !ok {
-		// Service flows may inject control traffic at zero cost.
-		if m.closed {
-			return false
-		}
-		m.buf = append(m.buf, msg)
-		m.pending += int64(msg.Bytes)
-		m.data.Fire()
-		return true
-	}
 	if int64(msg.Bytes) > m.capacity {
 		panic(fmt.Sprintf("smpbind: message of %d bytes can never fit mailbox of %d bytes",
 			msg.Bytes, m.capacity))
 	}
-	m.space.AwaitWhile(f.t.SimProc, (*lacksRoom)(m), int64(msg.Bytes))
+	m.space.AwaitWhile(svc.ProcOf(sender), (*lacksRoom)(m), int64(msg.Bytes))
 	if m.closed {
 		return false
 	}
-	f.t.CopyTo(m.node, msg.Bytes, m.addr)
+	if f, ok := sender.(*flow); ok {
+		f.t.CopyTo(m.node, msg.Bytes, m.addr)
+	}
 	m.buf = append(m.buf, msg)
 	m.pending += int64(msg.Bytes)
 	m.data.Fire()
@@ -245,11 +238,7 @@ func (m *mailbox) Send(sender core.Flow, msg core.Message) bool {
 
 // Receive implements core.Mailbox.
 func (m *mailbox) Receive(receiver core.Flow) (core.Message, bool) {
-	h, ok := receiver.(svc.ProcHolder)
-	if !ok {
-		panic("smpbind: receive from foreign flow type")
-	}
-	p := h.Proc()
+	p := svc.ProcOf(receiver)
 	m.data.AwaitWhile(p, (*isEmpty)(m), 0)
 	if len(m.buf) == m.head {
 		return core.Message{}, false // closed and drained

@@ -7,6 +7,8 @@
 package svc
 
 import (
+	"fmt"
+
 	"embera/internal/core"
 	"embera/internal/sim"
 )
@@ -37,6 +39,16 @@ func (f *Flow) Proc() *sim.Proc { return f.P }
 // component flows and service flows alike — so queues can park whichever
 // flow calls them.
 type ProcHolder interface{ Proc() *sim.Proc }
+
+// ProcOf returns the simulation process behind f, a flow of either
+// simulated binding; any other flow is a wiring bug.
+func ProcOf(f core.Flow) *sim.Proc {
+	h, ok := f.(ProcHolder)
+	if !ok {
+		panic(fmt.Sprintf("svc: flow %T has no simulation process", f))
+	}
+	return h.Proc()
+}
 
 // Spawn starts fn as a daemon service flow on k.
 func Spawn(k *sim.Kernel, name string, fn func(f *Flow)) {
@@ -87,11 +99,7 @@ func (s *Queue) Send(sender core.Flow, m core.Message) bool {
 // Receive blocks the calling flow until a message arrives; ok=false once
 // closed and drained.
 func (s *Queue) Receive(receiver core.Flow) (core.Message, bool) {
-	h, ok := receiver.(ProcHolder)
-	if !ok {
-		panic("svc: receive from a flow without a simulation process")
-	}
-	return s.q.Get(h.Proc())
+	return s.q.Get(ProcOf(receiver))
 }
 
 // Close closes the queue.
