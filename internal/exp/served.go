@@ -283,11 +283,12 @@ func (sr *ServedRun) runGeneration() error {
 		live: func(c *cell) {
 			sr.mu.Lock()
 			sr.machine, sr.app, sr.mon = c.m, c.a, c.mon
-			sr.running = true
 			// A Stop that landed after this generation launched but before
-			// it was published saw nothing running to stop: stop it now,
-			// the way Stop stops a running one.
+			// it was published saw nothing running to stop: publish it as
+			// not running, so control ops answer ErrNotRunning, and stop it
+			// now, the way Stop stops a running one.
 			stopped := sr.stopReq
+			sr.running = !stopped
 			if stopped {
 				sr.ops = append(sr.ops, &controlOp{apply: terminateAll, done: make(chan error, 1)})
 			}

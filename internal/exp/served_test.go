@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -295,12 +296,31 @@ func TestServedStopDuringLaunch(t *testing.T) {
 	tw := &toyWorkload{msgs: 100_000}
 	var srp atomic.Pointer[ServedRun]
 	var launches atomic.Int64
+	// The stopped generation's Customize runs after it was published: it
+	// records whether Stats read it as running, and what a control op sent
+	// from another goroutine then answered within 1 s.
+	var publishedRunning atomic.Bool
+	opErr := make(chan error, 1)
 	sr, err := RunServed(p, tw, ServedOptions{
 		Options: Options{
 			Monitor: &monitor.Config{},
 			OnMonitor: func(*monitor.Monitor) {
 				if launches.Add(1) == 2 {
 					srp.Load().Stop()
+				}
+			},
+			Customize: func(*core.App, *core.Observer) {
+				if launches.Load() != 2 {
+					return
+				}
+				publishedRunning.Store(srp.Load().Stats().Running)
+				answer := make(chan error, 1)
+				go func() { answer <- srp.Load().Reconnect("P", "out", "B", "in") }()
+				select {
+				case err := <-answer:
+					opErr <- err
+				case <-time.After(time.Second):
+					opErr <- fmt.Errorf("no answer within 1 s")
 				}
 			},
 		},
@@ -323,5 +343,11 @@ func TestServedStopDuringLaunch(t *testing.T) {
 	})
 	if g := sr.Generations(); g != 2 {
 		t.Fatalf("generations = %d after a stop during the second launch, want 2", g)
+	}
+	if publishedRunning.Load() {
+		t.Fatal("the generation stopped during its launch was published as running")
+	}
+	if err := <-opErr; !errors.Is(err, ErrNotRunning) {
+		t.Fatalf("reconnect on the generation stopped during its launch: %v, want ErrNotRunning", err)
 	}
 }
