@@ -16,6 +16,7 @@ package ctl
 import (
 	"fmt"
 
+	"embera/internal/core"
 	"embera/internal/monitor"
 )
 
@@ -110,8 +111,8 @@ func (p Policy) Validate() error {
 			return fmt.Errorf("ctl: policy %q: terminate needs a component", p.Name)
 		}
 	case ActSetPeriod:
-		if a.Level == "" {
-			return fmt.Errorf("ctl: policy %q: set-period needs a level", p.Name)
+		if _, err := ParseLevel(a.Level); err != nil {
+			return fmt.Errorf("ctl: policy %q: set-period: %w", p.Name, err)
 		}
 		if a.PeriodUS <= 0 {
 			return fmt.Errorf("ctl: policy %q: set-period needs a positive period_us", p.Name)
@@ -125,6 +126,17 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("ctl: policy %q: unknown action type %q", p.Name, a.Type)
 	}
 	return nil
+}
+
+// ParseLevel maps an action's level name (os, middleware, application or
+// all) to its observation level.
+func ParseLevel(s string) (core.ObsLevel, error) {
+	for _, l := range []core.ObsLevel{core.LevelOS, core.LevelMiddleware, core.LevelApplication, core.LevelAll} {
+		if l.String() == s {
+			return l, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown observation level %q (want os, middleware, application or all)", s)
 }
 
 // metricOf extracts the watched metric from one window record.

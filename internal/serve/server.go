@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"embera/internal/core"
 	"embera/internal/ctl"
 	"embera/internal/exp"
 	"embera/internal/monitor"
@@ -172,17 +171,19 @@ func (as *Assembly) execLoop() {
 		case <-as.execStop:
 			return
 		case f := <-as.firings:
-			if err := as.applyFiring(f); err != nil {
+			if err := as.apply(f.Policy.Action); err != nil {
 				as.ctl.NoteError(f.Policy.Name)
 			}
 		}
 	}
 }
 
-// applyFiring maps one policy action onto the served run's control surface.
-func (as *Assembly) applyFiring(f ctl.Firing) error {
+// apply maps one control action onto the served run's control surface:
+// the vocabulary a fired policy and POST …/control share. The run checks
+// its own arguments, so a bad value is an error here, never a value handed
+// on toward the monitor.
+func (as *Assembly) apply(a ctl.Action) error {
 	run := as.Run()
-	a := f.Policy.Action
 	switch a.Type {
 	case ctl.ActReconnect:
 		return run.Reconnect(a.From, a.Required, a.To, a.Provided)
@@ -191,7 +192,7 @@ func (as *Assembly) applyFiring(f ctl.Firing) error {
 	case ctl.ActTerminate:
 		return run.Terminate(a.Component)
 	case ctl.ActSetPeriod:
-		level, err := parseLevel(a.Level)
+		level, err := ctl.ParseLevel(a.Level)
 		if err != nil {
 			return err
 		}
@@ -205,7 +206,7 @@ func (as *Assembly) applyFiring(f ctl.Firing) error {
 		run.Resume()
 		return nil
 	}
-	return fmt.Errorf("serve: unknown action type %q", a.Type)
+	return fmt.Errorf("unknown action %q", a.Type)
 }
 
 // Run returns the underlying served run (control surface and stats).
@@ -523,8 +524,9 @@ func (s *Server) streamWindows(w http.ResponseWriter, r *http.Request, filter st
 	}
 }
 
-// ControlRequest is the control API's POST body. Action selects the verb;
-// the other fields parameterize it:
+// ControlRequest is the control API's POST body: a ctl.Action whose verb
+// travels as "action" (same fields, same order, so one converts to the
+// other), plus two verbs of the API's own:
 //
 //	start       relaunch a stopped assembly
 //	stop        terminate the live generation, park the assembly
@@ -537,30 +539,15 @@ func (s *Server) streamWindows(w http.ResponseWriter, r *http.Request, filter st
 //	            the new provider when the rewire closed it
 //	terminate   component: force-stop one component of the live generation
 type ControlRequest struct {
-	Action    string `json:"action"`
-	Level     string `json:"level,omitempty"`
-	PeriodUS  int64  `json:"period_us,omitempty"`
-	WindowUS  int64  `json:"window_us,omitempty"`
+	Type      string `json:"action"`
 	From      string `json:"from,omitempty"`
 	Required  string `json:"required,omitempty"`
 	To        string `json:"to,omitempty"`
 	Provided  string `json:"provided,omitempty"`
 	Component string `json:"component,omitempty"`
-}
-
-// parseLevel maps the wire names to observation levels.
-func parseLevel(s string) (core.ObsLevel, error) {
-	switch s {
-	case "os":
-		return core.LevelOS, nil
-	case "middleware":
-		return core.LevelMiddleware, nil
-	case "application":
-		return core.LevelApplication, nil
-	case "all":
-		return core.LevelAll, nil
-	}
-	return 0, fmt.Errorf("unknown observation level %q (want os, middleware, application or all)", s)
+	Level     string `json:"level,omitempty"`
+	PeriodUS  int64  `json:"period_us,omitempty"`
+	WindowUS  int64  `json:"window_us,omitempty"`
 }
 
 // maxBodyBytes bounds the JSON body a control or policies POST may send;
@@ -594,44 +581,13 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request) {
 	}
 	run := as.Run()
 	var err error
-	switch req.Action {
+	switch req.Type {
 	case "start":
 		run.Start()
 	case "stop":
 		run.Stop()
-	case "pause":
-		run.Pause()
-	case "resume":
-		run.Resume()
-	case "set-period":
-		// Validate at the door: a zero or negative period must be a 400
-		// here, never a value handed on toward the monitor.
-		if req.PeriodUS <= 0 {
-			writeJSON(w, http.StatusBadRequest,
-				map[string]string{"error": fmt.Sprintf("set-period needs a positive period_us, got %d", req.PeriodUS)})
-			return
-		}
-		var level core.ObsLevel
-		if level, err = parseLevel(req.Level); err == nil {
-			err = run.SetPeriod(level, req.PeriodUS)
-		}
-	case "set-window":
-		if req.WindowUS <= 0 {
-			writeJSON(w, http.StatusBadRequest,
-				map[string]string{"error": fmt.Sprintf("set-window needs a positive window_us, got %d", req.WindowUS)})
-			return
-		}
-		err = run.SetWindowUS(req.WindowUS)
-	case "reconnect":
-		err = run.Reconnect(req.From, req.Required, req.To, req.Provided)
-	case "migrate":
-		err = run.Migrate(req.From, req.Required, req.To, req.Provided)
-	case "terminate":
-		err = run.Terminate(req.Component)
 	default:
-		writeJSON(w, http.StatusBadRequest,
-			map[string]string{"error": fmt.Sprintf("unknown action %q", req.Action)})
-		return
+		err = as.apply(ctl.Action(req))
 	}
 	if err != nil {
 		status := http.StatusBadRequest
@@ -673,17 +629,6 @@ func (s *Server) handlePoliciesPost(w http.ResponseWriter, r *http.Request) {
 	var ps []ctl.Policy
 	if !decodeBody(w, r, "policies", &ps) {
 		return
-	}
-	// ctl validates shape; the serve layer additionally owns the level
-	// names, so resolve set-period levels here where 400 is still cheap.
-	for _, p := range ps {
-		if p.Action.Type == ctl.ActSetPeriod {
-			if _, err := parseLevel(p.Action.Level); err != nil {
-				writeJSON(w, http.StatusBadRequest,
-					map[string]string{"error": fmt.Sprintf("policy %q: %v", p.Name, err)})
-				return
-			}
-		}
 	}
 	if err := as.ctl.SetPolicies(ps); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
