@@ -53,7 +53,6 @@ type Machine struct {
 	stream       []byte
 	inst         Instance
 	mon          *monitor.Monitor
-	monCfg       *monitor.Config
 
 	mu      sync.Mutex
 	ran     bool
@@ -157,13 +156,12 @@ func (m *Machine) Distribute(workload string, scale, messageBytes int, stream []
 	return nil
 }
 
-// AttachMonitor hands the coordinator the run's live monitor and its
-// configuration: ingested worker windows join mon's sinks, and cfg's
-// levels/window mirror into every worker so all shards sample under the
-// same policy.
-func (m *Machine) AttachMonitor(mon *monitor.Monitor, cfg *monitor.Config) {
+// AttachMonitor hands the coordinator the run's live monitor: ingested
+// worker windows join mon's sinks, and its live levels, window, ring
+// capacity and overhead budget mirror into every worker. The configuration
+// argument is unused: mon carries it, defaults applied.
+func (m *Machine) AttachMonitor(mon *monitor.Monitor, _ *monitor.Config) {
 	m.mon = mon
-	m.monCfg = cfg
 }
 
 // ShardOf reports which shard owns the named component (always 0 outside
@@ -399,18 +397,13 @@ func (m *Machine) runSharded(horizonUS int64) error {
 		Scale: m.scale, MessageBytes: m.messageBytes, StreamPath: streamPath,
 		HorizonUS: horizonUS,
 	}
-	if m.monCfg != nil {
-		for _, lp := range m.monCfg.Levels {
+	if m.mon != nil {
+		for _, lp := range m.mon.Levels() {
 			cfg.MonLevels = append(cfg.MonLevels, workerLevel{Level: int(lp.Level), PeriodUS: lp.PeriodUS})
 		}
-		if len(cfg.MonLevels) == 0 {
-			// Mirror the monitor's own default (application level, 1 ms) so
-			// a default-configured run still samples on every shard.
-			cfg.MonLevels = []workerLevel{{Level: int(core.LevelApplication), PeriodUS: 1000}}
-		}
-		cfg.MonWindowUS = m.monCfg.WindowUS
-		cfg.MonRingCapacity = m.monCfg.RingCapacity
-		cfg.MonOverheadPct = m.monCfg.OverheadBudgetPct
+		cfg.MonWindowUS = m.mon.WindowUS()
+		cfg.MonRingCapacity = m.mon.Ring().Capacity()
+		cfg.MonOverheadPct = m.mon.OverheadBudgetPct()
 	}
 
 	// Every cross-shard frame travels a link straight from the producing

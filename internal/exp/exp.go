@@ -98,8 +98,8 @@ type distributor interface {
 }
 
 // monitorTaker is the companion seam: the machine receives the run's live
-// monitor (for central window ingestion) and its configuration (mirrored to
-// every shard) right after the monitor starts.
+// monitor (for central window ingestion, its policy mirrored to every
+// shard) and its configuration right after the monitor starts.
 type monitorTaker interface {
 	TakeMonitor(mon *monitor.Monitor, cfg *monitor.Config)
 }
@@ -221,7 +221,7 @@ func lifecycle(p platform.Platform, w platform.Workload, opts Options, h hooks) 
 			opts.OnMonitor(mon)
 		}
 		// Sharding machines also take the live monitor: worker windows are
-		// ingested into it centrally, and its configuration mirrors into
+		// ingested into it centrally, and its live policy mirrors into
 		// every shard.
 		if mt, ok := c.m.(monitorTaker); ok {
 			mt.TakeMonitor(mon, opts.Monitor)

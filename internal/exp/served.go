@@ -180,11 +180,11 @@ func RunServed(p platform.Platform, w platform.Workload, opts ServedOptions) (*S
 	// monitor package's own defaults where unset.
 	sr.levels = append([]monitor.LevelPeriod(nil), opts.Monitor.Levels...)
 	if len(sr.levels) == 0 {
-		sr.levels = []monitor.LevelPeriod{{Level: core.LevelApplication, PeriodUS: 1000}}
+		sr.levels = monitor.DefaultLevels()
 	}
 	sr.windowUS = opts.Monitor.WindowUS
 	if sr.windowUS == 0 {
-		sr.windowUS = 10_000
+		sr.windowUS = monitor.DefaultWindowUS
 	}
 	go sr.loop()
 	return sr, nil

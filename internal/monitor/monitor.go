@@ -83,9 +83,17 @@ type Config struct {
 	Sinks []Sink
 }
 
+// DefaultWindowUS is the window of a Config that sets no WindowUS.
+const DefaultWindowUS = 10_000
+
+// DefaultLevels returns the samplers of a Config that sets no Levels.
+func DefaultLevels() []LevelPeriod {
+	return []LevelPeriod{{Level: core.LevelApplication, PeriodUS: 1000}}
+}
+
 func (cfg *Config) setDefaults(ncomps int) {
 	if len(cfg.Levels) == 0 {
-		cfg.Levels = []LevelPeriod{{Level: core.LevelApplication, PeriodUS: 1000}}
+		cfg.Levels = DefaultLevels()
 	}
 	if cfg.RingCapacity == 0 {
 		cfg.RingCapacity = 4096
@@ -100,7 +108,7 @@ func (cfg *Config) setDefaults(ncomps int) {
 		}
 	}
 	if cfg.WindowUS == 0 {
-		cfg.WindowUS = 10_000
+		cfg.WindowUS = DefaultWindowUS
 	}
 }
 

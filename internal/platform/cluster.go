@@ -74,9 +74,8 @@ func (c clusterMachine) Distribute(workload string, opts Options, inst Instance)
 	return c.m.Distribute(workload, opts.Scale, opts.MessageBytes, opts.Stream, inst)
 }
 
-// TakeMonitor hands the coordinator the run's live monitor so worker
-// windows are ingested centrally, and the config so every shard samples
-// under the same policy.
+// TakeMonitor hands the coordinator the run's live monitor: worker windows
+// are ingested into it, and every shard samples under its live policy.
 func (c clusterMachine) TakeMonitor(mon *monitor.Monitor, cfg *monitor.Config) {
 	c.m.AttachMonitor(mon, cfg)
 }
