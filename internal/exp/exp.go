@@ -147,9 +147,8 @@ type Result struct {
 	// Monitor is the streaming pipeline, when Options.Monitor asked for one.
 	Monitor *monitor.Monitor
 	Reports map[string]core.ObsReport
-	// MakespanUS is the platform time at which the last component finished,
-	// when the quiescence driver resumes: virtual µs on simulated
-	// platforms, wall-clock µs on native.
+	// MakespanUS is the platform time at which the last component finished:
+	// virtual µs on simulated platforms, wall-clock µs on native.
 	MakespanUS int64
 }
 

@@ -284,9 +284,8 @@ func (sr *ServedRun) runGeneration() error {
 			sr.mu.Lock()
 			sr.machine, sr.app, sr.mon = c.m, c.a, c.mon
 			// A Stop that landed after this generation launched but before
-			// it was published saw nothing running to stop: publish it as
-			// not running, so control ops answer ErrNotRunning, and stop it
-			// now, the way Stop stops a running one.
+			// it was published saw nothing running to stop: publish it not
+			// running, so ops answer ErrNotRunning, and stop it like Stop.
 			stopped := sr.stopReq
 			sr.running = !stopped
 			if stopped {
