@@ -361,10 +361,10 @@ func (a *App) finished() {
 }
 
 // AwaitQuiescence blocks the calling flow until every component has
-// finished: it waits on the quiescence queue the last one closes, so it
-// resumes at that instant, and on the simulators an assembly that
-// deadlocks first ends the run with the kernel's deadlock error.
-// Observation drivers use it to query final execution times.
+// finished, on the queue the last one closes, so it resumes at that
+// instant; on the simulators, an assembly that deadlocks first ends the
+// run with the kernel's deadlock error once no timer re-arms. Observation
+// drivers use it to query final execution times.
 func (a *App) AwaitQuiescence(f Flow) {
 	a.quiet.Receive(f)
 }
